@@ -22,9 +22,17 @@ Every payload starts with a versioned header::
     magic (0x9E) | version (1) | node type | scheme-name length | scheme name
 
 An unknown version raises a loud :class:`NodeCodecError` (no silent
-corruption); a node the codec does not know falls back to a pickle-wrapped
-payload under the same header, so exotic objects still round-trip.  Payloads
-written by pre-codec builds start with the pickle protocol opcode (0x80)
+corruption).  A node the codec does not know -- or a known node holding a
+field value the tagged field form cannot carry -- falls back to a
+pickle-wrapped payload under the same header (node type 0).  That fallback
+is **not** a corner for exotic objects: the SP's B+-tree stores
+:class:`~repro.storage.heapfile.RecordId` values in its leaves, the field
+form has no tag for them, so *every* ``BPlusLeafNode`` of every paged
+deployment is written as a pickled payload today (internal nodes, XB nodes
+and MB nodes take their typed layouts).  A typed record-id layout is open
+work; until it lands the fallback cannot be deleted
+(``test_bplus_leaf_with_record_ids_takes_pickled_layout`` pins this).
+Payloads written by pre-codec builds start with the pickle protocol opcode (0x80)
 instead of the magic byte -- the store recognises those and migrates them
 through :mod:`pickle` on read, so existing snapshots keep loading.
 """
@@ -156,7 +164,8 @@ def encode_node(node: Any) -> bytes:
     """Serialise ``node`` to its compact payload.
 
     Nodes of unknown classes -- or known nodes holding field values the
-    canonical codec cannot represent -- fall back to a pickle-wrapped
+    tagged field form cannot represent, which includes every B+-tree leaf
+    whose values are ``heapfile.RecordId`` -- fall back to a pickle-wrapped
     payload (still versioned, still migratable).
     """
     try:

@@ -10,8 +10,10 @@ Two implementations exist:
   object itself: ``load`` is the identity function, nothing is serialised,
   and the trees behave exactly like ordinary in-memory object graphs.
 * :class:`PagedNodeStore` -- nodes are serialised (through the compact
-  per-node-type codec of :mod:`repro.storage.node_codec`; pre-codec pickle
-  pages migrate on read) into fixed-size page chains
+  per-node-type codec of :mod:`repro.storage.node_codec`, whose pickle-wrapped
+  layout carries every B+-tree leaf holding ``heapfile.RecordId`` values, not
+  just unknown classes; pre-codec pickle pages migrate on read) into
+  fixed-size page chains
   through a :class:`~repro.storage.buffer_pool.BufferPool` over a
   :class:`~repro.storage.pager.Pager` (a
   :class:`~repro.storage.pager.FileBackedPager` when a data directory is
@@ -26,6 +28,22 @@ evicted under it, and all pins are released when the scope closes.  The
 scope also acts as an identity map -- loading the same reference twice
 inside one operation returns the same object -- which is what lets the tree
 code mutate nodes in place exactly as it does in memory mode.
+
+Between scopes the paged store keeps **one decoded object per node resident
+beside its pooled pages** (an LRU of at most ``pool_pages`` entries -- a
+node occupies at least one page, so the map cannot outgrow what the pool
+already promises).  A scoped load still fetches every page of the chain --
+same pins, same hit/miss/eviction tallies, same LRU touches, because those
+counters *are* the cost model -- and then hands back the resident object
+instead of joining and decoding the bytes iff no page of the chain missed
+the pool on this load; a miss costs an I/O *and* a decode and replaces the
+entry.  The map can never serve an object that differs from the stored
+bytes: a write scope that commits installs the objects it wrote (and drops
+the refs it freed); a scope that fails while mutating -- a read scope
+escalated by a nested ``write_op`` included -- drops every ref it loaded,
+registered or freed; scope-less loads (the ``items()`` walks, which use the
+object outside the store lock) neither read nor fill it; ``restore_state``
+and ``close`` clear it.
 
 Thread-safety: :class:`MemoryNodeStore` adds no synchronisation (the trees
 over it are guarded by the schemes' read/write lock, exactly as before).
@@ -45,8 +63,12 @@ without a write-ahead log has.
 
 Two deliberate simplicity-over-throughput tradeoffs: a write scope
 re-serialises *every* node it loaded (not just the mutated ones -- no
-dirty-bit bookkeeping to get wrong, at the price of some write
-amplification per update), and durability is **checkpoint-based**: the
+dirty-bit bookkeeping in the trees to get wrong) but dirties only the pages
+whose bytes actually changed: each page image is compared with the bytes
+the (pinned, just-fetched) page already holds and written only when they
+differ, so an update that loads ~90 nodes to change a handful writes a
+handful of pages, not ~180 -- the encode time stays; and durability is
+**checkpoint-based**: the
 page files are authoritative only together with the snapshot state taken
 by ``snapshot()`` (the schemes take one automatically on a clean
 ``close()``).  A process that dies mid-serving may leave the page files
@@ -63,6 +85,7 @@ from __future__ import annotations
 import pickle
 import struct
 import threading
+from collections import OrderedDict
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional
@@ -126,8 +149,8 @@ class NodeStore:
 
         Inside an operation scope, repeated loads of the same reference
         return the same object and keep its pages pinned.  Outside a scope
-        the load is unpinned and uncached (read-only walks such as
-        ``items()`` use this form).
+        the load is unpinned and always decodes a private object (read-only
+        walks such as ``items()`` use this form).
         """
         raise NotImplementedError
 
@@ -219,7 +242,9 @@ class PagedNodeStore(NodeStore):
     A node reference is an integer; the store keeps the mapping from
     reference to the list of page ids holding the node's serialised bytes (a
     node larger than one page simply spans a chain).  All page traffic goes
-    through the pool, so ``pool_pages`` bounds resident memory and the
+    through the pool, so ``pool_pages`` bounds resident memory -- page bytes
+    and, one per node and never more than ``pool_pages`` of them, the decoded
+    nodes kept beside them (see the module docstring) -- and the
     hit/miss/eviction counters quantify the physical-vs-logical access gap
     the paper's I/O model talks about.
 
@@ -254,6 +279,9 @@ class PagedNodeStore(NodeStore):
         self._pool = BufferPool(pager, capacity=pool_pages)
         self._payload_per_page = pager.page_size - _CHUNK_HEADER.size
         self._chains: Dict[int, List[int]] = {}
+        # ref -> decoded node, LRU, at most ``pool_pages`` entries; served
+        # only to scoped loads whose whole chain hit the pool.
+        self._resident: "OrderedDict[int, Any]" = OrderedDict()
         self._next_ref = 0
         self._lock = threading.RLock()
         self._local = threading.local()
@@ -348,6 +376,11 @@ class PagedNodeStore(NodeStore):
                 # failed operation were never written -- drop them.
                 for ref in ctx.registered:
                     self._chains.pop(ref, None)
+                if ctx.mutating:
+                    # Anything the operation touched may have been mutated
+                    # in place: never serve it to a later scope.
+                    for ref in (*ctx.nodes, *ctx.freed):
+                        self._resident.pop(ref, None)
                 raise
         finally:
             for page_id, count in ctx.pins.items():
@@ -369,15 +402,26 @@ class PagedNodeStore(NodeStore):
         that will not serialise aborts the commit with the store's bytes
         untouched (the scope handler then rolls the registrations back).
         Serialisation goes through the compact codec of
-        :mod:`repro.storage.node_codec` (falling back to pickle-wrapped
-        payloads for unknown node classes).
+        :mod:`repro.storage.node_codec` (whose pickle-wrapped layout takes
+        unknown node classes *and* every B+-tree leaf of ``RecordId``s).
+        The written objects become the resident ones of their refs.
         """
         payloads = {ref: encode_node(node) for ref, node in ctx.nodes.items()}
         for ref, data in payloads.items():
             self._write_node(ctx, ref, data)
+            self._keep(ref, ctx.nodes[ref])
         for ref in ctx.freed:
+            self._resident.pop(ref, None)
             for page_id in self._chains.pop(ref, ()):  # registered-and-freed
                 self._release_page(ctx, page_id)
+
+    def _keep(self, ref: int, node: Any) -> None:
+        """Make ``node`` the resident object of ``ref`` (LRU, pool-sized)."""
+        resident = self._resident
+        resident[ref] = node
+        resident.move_to_end(ref)
+        while len(resident) > self._pool.capacity:
+            resident.popitem(last=False)
 
     def _release_page(self, ctx: _OpContext, page_id: int) -> None:
         pinned = ctx.pins.pop(page_id, 0)
@@ -434,32 +478,43 @@ class PagedNodeStore(NodeStore):
             raise NodeStoreError(f"unknown node reference {ref!r}") from None
         if not page_ids:
             raise NodeStoreError(f"node reference {ref!r} has never been written")
+        # Every page is fetched (pinned, tallied, LRU-touched) whether or not
+        # the decoded node is resident: the pool counters are the cost model.
+        misses = self._pool.misses
+        pages = [self._fetch(page_id, ctx) for page_id in page_ids]
+        if ctx is not None and self._pool.misses == misses and ref in self._resident:
+            self._resident.move_to_end(ref)
+            return self._resident[ref]
         parts: List[bytes] = []
-        for page_id in page_ids:
-            page = self._fetch(page_id, ctx)
+        for page in pages:
             (used,) = _CHUNK_HEADER.unpack(page.read(0, _CHUNK_HEADER.size))
             parts.append(page.read(_CHUNK_HEADER.size, used))
         data = b"".join(parts)
         leading = data[0] if data else None
         if leading == CODEC_MAGIC:
             try:
-                return decode_node(data)
+                node = decode_node(data)
             except NodeCodecError as exc:
                 raise NodeStoreError(f"cannot decode node {ref!r}: {exc}") from exc
-        if leading == PICKLE_MAGIC:
+        elif leading == PICKLE_MAGIC:
             # A page chain written by a pre-codec build: migrate through
             # pickle (the next write-back re-encodes it compactly).
-            return pickle.loads(data)
-        raise NodeStoreError(
-            f"node {ref!r} has an unknown page format "
-            f"(leading byte {'0x%02x' % leading if leading is not None else 'none'}); "
-            f"the snapshot was written by an incompatible version"
-        )
+            node = pickle.loads(data)
+        else:
+            raise NodeStoreError(
+                f"node {ref!r} has an unknown page format "
+                f"(leading byte {'0x%02x' % leading if leading is not None else 'none'}); "
+                f"the snapshot was written by an incompatible version"
+            )
+        if ctx is not None:
+            self._keep(ref, node)
+        return node
 
     def _write_node(self, ctx: _OpContext, ref: int, data: bytes) -> None:
         step = self._payload_per_page
         chunks = [data[i:i + step] for i in range(0, len(data), step)] or [b""]
         chain = self._chains[ref]
+        stored = len(chain)  # pages that may already hold these bytes (0 for a new node)
         while len(chain) < len(chunks):
             before = self._pool.evictions
             page = self._pool.allocate()
@@ -470,9 +525,11 @@ class PagedNodeStore(NodeStore):
             chain.append(page_id)
         while len(chain) > len(chunks):
             self._release_page(ctx, chain.pop())
-        for page_id, chunk in zip(chain, chunks):
+        for index, (page_id, chunk) in enumerate(zip(chain, chunks)):
             page = self._fetch(page_id, ctx)
-            page.write(_CHUNK_HEADER.pack(len(chunk)) + chunk, 0)
+            image = _CHUNK_HEADER.pack(len(chunk)) + chunk
+            if index >= stored or page.read(0, len(image)) != image:
+                page.write(image, 0)
 
     # ------------------------------------------------------------------ persistence
     def flush(self) -> None:
@@ -486,6 +543,7 @@ class PagedNodeStore(NodeStore):
     def close(self) -> None:
         """Flush and close the backing pager."""
         with self._lock:
+            self._resident.clear()
             self._pool.flush_all()
             self._pool.pager.close()
 
@@ -520,6 +578,7 @@ class PagedNodeStore(NodeStore):
                             f"backing file only holds {num_pages} pages"
                         )
             self._chains = chains
+            self._resident.clear()
             self._next_ref = int(state["next_ref"])
             self._pool.pager.restore_free_pages(state.get("free_pages", []))
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.btree.node import BPlusInternalNode, BPlusLeafNode
 from repro.crypto.digest import Digest, default_scheme
+from repro.storage.heapfile import RecordId
 from repro.storage.node_codec import (
     CODEC_MAGIC,
     CODEC_VERSION,
@@ -178,6 +179,23 @@ class TestPickleFallback:
         blob = encode_node(payload)
         assert blob[0] == CODEC_MAGIC  # still versioned, not a bare pickle
         assert decode_node(blob) == payload
+
+    def test_bplus_leaf_with_record_ids_takes_pickled_layout(self):
+        """Today's behaviour, pinned: the SP's B+-tree leaves hold heap-file
+        ``RecordId``s, the tagged field form has no tag for them, so every
+        such leaf is written as node type 0 (pickled) -- the fallback is on
+        the serving path of every paged deployment and cannot be deleted
+        until a typed record-id layout exists.  That change turns this test
+        around: the node-type byte becomes the typed leaf's."""
+        node = bplus_leaf([10, 20], [RecordId(0, 1), RecordId(3, 7)], next_leaf=4)
+        blob = encode_node(node)
+        assert blob[:3] == bytes([CODEC_MAGIC, CODEC_VERSION, 0])
+        assert encode_node(bplus_leaf([10, 20], [1, 2], next_leaf=4))[2] == 1
+        decoded = decode_node(blob)
+        assert type(decoded) is BPlusLeafNode
+        assert decoded.keys == node.keys
+        assert decoded.values == node.values
+        assert decoded.next_leaf == 4
 
     def test_compact_payload_is_smaller_than_pickle(self):
         node = mb_leaf(list(range(40)), list(range(40)))
