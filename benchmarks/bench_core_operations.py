@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.client import Client
 from repro.core.tuples import digest_record
+from repro.crypto.encoding import encode_record
 from repro.crypto.signatures import make_rsa_pair
 from repro.crypto.xor import digest_of_record
 from repro.dbms.query import RangeQuery
@@ -94,8 +95,9 @@ def test_mbtree_vo_construction(benchmark, signed_mbtree, records):
 
 def test_sae_client_verification(benchmark, query_result):
     client = Client(key_index=1)
-    token = client.compute_result_xor(query_result)
-    outcome = benchmark(lambda: client.verify(query_result, token,
+    payloads = [encode_record(fields) for fields in query_result]  # what the SP ships
+    token = client.compute_result_xor(payloads)
+    outcome = benchmark(lambda: client.verify(payloads, token,
                                               query=RangeQuery(low=QUERY_LOW, high=QUERY_HIGH)))
     assert outcome.ok
 

@@ -15,7 +15,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.epoch import classify_epoch
 from repro.crypto.digest import Digest, DigestScheme, default_scheme
-from repro.crypto.encoding import encode_record
+from repro.crypto.encoding import EncodingError, decode_record
 from repro.dbms.query import RangeQuery
 
 
@@ -27,6 +27,11 @@ class SAEVerificationResult:
     is explicitly distinct from a successful one: ``ok`` is ``False`` and
     ``skipped`` is ``True``, so an unverified result can never be mistaken
     for a verified one.
+
+    ``records`` are the tuples the client itself decoded from the payload
+    bytes it received (and, unless skipped, hashed); a verdict reached
+    before the token comparison carries none.  ``cpu_ms`` covers the hash,
+    the XOR fold *and* the decode the range check needs -- no re-encoding.
     """
 
     ok: bool
@@ -37,6 +42,7 @@ class SAEVerificationResult:
     reason: str = "verified"
     details: dict = field(default_factory=dict)
     skipped: bool = False
+    records: List[Tuple[Any, ...]] = field(default_factory=list)
 
     @classmethod
     def skipped_result(cls, scheme: DigestScheme) -> "SAEVerificationResult":
@@ -55,57 +61,114 @@ class SAEVerificationResult:
 
 
 class Client:
-    """The querying party of SAE."""
+    """The querying party of SAE.
 
-    def __init__(self, scheme: Optional[DigestScheme] = None, key_index: Optional[int] = None):
+    All it takes from the SP are the result payloads (canonical record bytes)
+    and the signed epoch stamp: it hashes the bytes it received and decodes
+    them itself; ``key_index`` and ``arity`` are what it knows of the schema.
+    """
+
+    def __init__(
+        self,
+        scheme: Optional[DigestScheme] = None,
+        key_index: Optional[int] = None,
+        arity: Optional[int] = None,
+    ):
         self._scheme = scheme or default_scheme()
         self._key_index = key_index
+        self._arity = arity
 
     @property
     def scheme(self) -> DigestScheme:
         """Digest scheme shared with the TE."""
         return self._scheme
 
-    def compute_result_xor(
-        self,
-        records: Sequence[Sequence[Any]],
-        digest_cache: Optional[Dict[Tuple[Any, ...], Digest]] = None,
-    ) -> Digest:
-        """``RS_SP⊕``: XOR of the digests of the received records.
-
-        ``digest_cache`` (record tuple -> digest) lets a batched caller hash
-        each distinct record once across many overlapping query results; it
-        must only be shared between requests against the same dataset state.
-        """
-        # XOR over big integers and build one Digest at the end, skipping an
-        # intermediate Digest object per record (the bulk-XOR form every
-        # fold site in the codebase uses).
+    def compute_result_xor(self, payloads: Sequence[bytes]) -> Digest:
+        """``RS_SP⊕``: XOR of the digests of the received record payloads."""
+        hasher = self._scheme.hasher
         value = 0
-        if digest_cache is None:
-            hash_ = self._scheme.hash
-            for record in records:
-                value ^= int.from_bytes(hash_(encode_record(record)).raw, "big")
-        else:
-            for record in records:
-                key = tuple(record)
-                digest = digest_cache.get(key)
-                if digest is None:
-                    digest = self._scheme.hash(encode_record(record))
-                    digest_cache[key] = digest
-                value ^= int.from_bytes(digest.raw, "big")
+        for payload in payloads:
+            value ^= int.from_bytes(hasher(payload).digest(), "big")
+        return self._digest_of(value)
+
+    def _digest_of(self, value: int) -> Digest:
         return self._scheme.from_bytes(value.to_bytes(self._scheme.digest_size, "big"))
+
+    def _open(
+        self,
+        payloads: Sequence[bytes],
+        digest_cache: Optional[Dict[bytes, Tuple[Tuple[Any, ...], int]]],
+        hashed: bool,
+    ) -> Tuple[List[Tuple[Any, ...]], int, Optional[str]]:
+        """Decode (and hash) what the SP sent: ``(records, digest XOR, defect)``.
+
+        The payloads are untrusted: anything that is not the encoding of a
+        record of the relation's arity comes back as a ``defect`` naming
+        it (with no records), never as an exception.
+        """
+        hasher = self._scheme.hasher
+        records: List[Tuple[Any, ...]] = []
+        value = 0
+        for payload in payloads:
+            if type(payload) is not bytes:
+                return [], 0, f"result item of type {type(payload).__name__} is not a byte string"
+            opened = digest_cache.get(payload) if digest_cache is not None else None
+            if opened is None:
+                try:
+                    record = decode_record(payload)
+                except EncodingError as exc:
+                    return [], 0, f"undecodable record payload: {exc}"
+                if self._arity is not None and len(record) != self._arity:
+                    return [], 0, (
+                        f"record payload has {len(record)} fields, "
+                        f"the relation has {self._arity}"
+                    )
+                digest = int.from_bytes(hasher(payload).digest(), "big") if hashed else 0
+                opened = (record, digest)
+                if digest_cache is not None:
+                    digest_cache[payload] = opened
+            records.append(opened[0])
+            value ^= opened[1]
+        return records, value, None
+
+    def _out_of_range(self, records: List[Tuple[Any, ...]], query: RangeQuery) -> Optional[str]:
+        """Name the first decoded key that does not satisfy ``query``."""
+        key_index = self._key_index
+        for record in records:
+            try:
+                key = record[key_index]
+                inside = query.contains(key)
+            except (IndexError, TypeError):
+                return "record payload has no key comparable with the query bounds"
+            if not inside:
+                return f"record key {key!r} falls outside the query range"
+        return None
+
+    def _rejected(
+        self, started: float, token: Digest, reason: str, details: Optional[dict] = None
+    ) -> SAEVerificationResult:
+        """A verdict reached before the token comparison: nothing is handed on."""
+        return SAEVerificationResult(
+            ok=False,
+            computed=self._scheme.zero(),
+            token=token,
+            records_hashed=0,
+            cpu_ms=(time.perf_counter() - started) * 1000.0,
+            reason=reason,
+            details=details or {},
+        )
 
     def verify(
         self,
-        records: Sequence[Sequence[Any]],
-        token: Digest,
+        payloads: Sequence[bytes],
+        token: Optional[Digest],
         query: Optional[RangeQuery] = None,
-        digest_cache: Optional[Dict[Tuple[Any, ...], Digest]] = None,
+        digest_cache: Optional[Dict[bytes, Tuple[Tuple[Any, ...], int]]] = None,
         epoch_stamp: Optional[Any] = None,
         expected_epoch: Optional[int] = None,
         epoch_verifier: Optional[Any] = None,
     ) -> SAEVerificationResult:
-        """Verify a result set against the TE's token.
+        """Verify the result payloads an SP sent against the TE's token.
 
         When ``expected_epoch`` and ``epoch_verifier`` are given, the SP's
         signed update-epoch stamp is checked *first*: a replica answering
@@ -114,82 +177,83 @@ class Client:
         expose it.  The failure is reported with
         ``details["freshness_violation"]`` set, distinct from tampering.
 
-        When ``query`` is given the client additionally checks that every
-        returned record's query-attribute value satisfies the range -- a
-        zero-cost sanity check that catches sloppy (rather than malicious)
-        providers early, before any hashing.
+        The client then decodes every payload itself, checks (when ``query``
+        is given) that each decoded query-attribute value satisfies the
+        range, and compares the XOR of the digests of **the bytes it
+        received** with the token -- so a non-canonical encoding of a
+        genuine record is rejected like any other forgery.  A malformed
+        payload is a REJECTED verdict, never an exception.
+
+        ``digest_cache`` (payload -> decoded record and digest) lets a
+        batched caller decode and hash each distinct payload once across
+        many overlapping results.  ``token=None`` means the caller asked for
+        no verification: the payloads are only decoded and the outcome is
+        the explicit *skipped* one.
         """
         started = time.perf_counter()
+        if token is None:
+            records, _, defect = self._open(payloads, None, hashed=False)
+            result = SAEVerificationResult.skipped_result(self._scheme)
+            result.records = records
+            if defect is not None:
+                result.reason = f"verification skipped; {defect}"
+            result.cpu_ms = (time.perf_counter() - started) * 1000.0
+            return result
         if expected_epoch is not None and epoch_verifier is not None:
             verdict = classify_epoch(epoch_stamp, expected_epoch, epoch_verifier)
             if not verdict.ok:
-                elapsed = (time.perf_counter() - started) * 1000.0
-                return SAEVerificationResult(
-                    ok=False,
-                    computed=self._scheme.zero(),
-                    token=token,
-                    records_hashed=0,
-                    cpu_ms=elapsed,
-                    reason=verdict.reason,
-                    details=verdict.details(),
-                )
-        if query is not None and self._key_index is not None:
-            for record in records:
-                key = record[self._key_index]
-                if not query.contains(key):
-                    elapsed = (time.perf_counter() - started) * 1000.0
-                    return SAEVerificationResult(
-                        ok=False,
-                        computed=self._scheme.zero(),
-                        token=token,
-                        records_hashed=0,
-                        cpu_ms=elapsed,
-                        reason=f"record key {key!r} falls outside the query range",
-                    )
-        computed = self.compute_result_xor(records, digest_cache=digest_cache)
-        elapsed = (time.perf_counter() - started) * 1000.0
+                return self._rejected(started, token, verdict.reason, verdict.details())
+        records, value, defect = self._open(payloads, digest_cache, hashed=True)
+        if defect is None and query is not None and self._key_index is not None:
+            defect = self._out_of_range(records, query)
+        if defect is not None:
+            return self._rejected(started, token, defect)
+        computed = self._digest_of(value)
         ok = computed == token
         return SAEVerificationResult(
             ok=ok,
             computed=computed,
             token=token,
             records_hashed=len(records),
-            cpu_ms=elapsed,
+            cpu_ms=(time.perf_counter() - started) * 1000.0,
             reason="verified" if ok else "result XOR does not match the verification token",
+            records=records,
         )
 
     def verify_shards(
         self,
         legs: Sequence[Tuple],
         query: Optional[RangeQuery] = None,
-        digest_cache: Optional[Dict[Tuple[Any, ...], Digest]] = None,
+        digest_cache: Optional[Dict[bytes, Tuple[Tuple[Any, ...], int]]] = None,
         expected_epoch: Optional[int] = None,
         epoch_verifier: Optional[Any] = None,
     ) -> SAEVerificationResult:
         """Verify the shard legs of a scattered query and merge the verdicts.
 
-        ``legs`` is a sequence of ``(shard_id, records, token)`` triples --
-        or ``(shard_id, records, token, epoch_stamp)`` quadruples when the
+        ``legs`` is a sequence of ``(shard_id, payloads, token)`` triples --
+        or ``(shard_id, payloads, token, epoch_stamp)`` quadruples when the
         caller wants per-leg freshness checking -- one per shard the query
         was scattered to.  Every leg is verified independently -- which
         pinpoints *which* shard tampered (or is stale) -- and the merged
         result is accepted iff every leg verifies.  The merged computed
         value and token are the XORs over the legs, so they equal exactly
         what a single-shard deployment would have produced for the same
-        result set (the XOR aggregate is partition-independent).
+        result set (the XOR aggregate is partition-independent); the merged
+        records are the legs' decoded records in leg order.
         """
         started = time.perf_counter()
         leg_results: Dict[int, SAEVerificationResult] = {}
         merged_computed = self._scheme.zero()
         merged_token = self._scheme.zero()
+        records: List[Tuple[Any, ...]] = []
         records_hashed = 0
         rejected = []
         freshness = False
         for leg in legs:
-            shard_id, records, token = leg[0], leg[1], leg[2]
+            shard_id, payloads, token = leg[0], leg[1], leg[2]
             stamp = leg[3] if len(leg) > 3 else None
             result = self.verify(
-                records,
+                payloads,
                 token,
                 query=query,
                 digest_cache=digest_cache,
@@ -200,6 +264,7 @@ class Client:
             leg_results[shard_id] = result
             merged_computed = merged_computed ^ result.computed
             merged_token = merged_token ^ token
+            records.extend(result.records)
             records_hashed += result.records_hashed
             if not result.ok:
                 rejected.append(shard_id)
@@ -223,4 +288,5 @@ class Client:
             cpu_ms=elapsed,
             reason=reason,
             details=details,
+            records=records,
         )

@@ -40,7 +40,8 @@ DEFAULT_POOL_PAGES = 128
 #: Default queries per ``query_many`` call in batched drivers.
 DEFAULT_BATCH_SIZE = 25
 
-#: Default capacity of the deployment-wide record encoding/digest memo.
+#: Default capacity of a TOM deployment's record encoding/digest memo (the
+#: SAE query path has none: its SP ships stored bytes).
 DEFAULT_MEMO_CAPACITY = 65536
 
 #: Default capacity of the cached signature verifier.

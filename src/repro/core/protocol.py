@@ -15,8 +15,13 @@ every consumer of the scheme layer needs:
   CPU time, verification verdict);
 * :meth:`SaeScheme.query_many` -- a batched variant: SP executions are
   dispatched across the thread pool while the TE answers the whole batch
-  with one shared XB-tree walk, and client-side verification hashes each
-  distinct record once across overlapping results.
+  with one shared XB-tree walk, and the client decodes and hashes each
+  distinct record payload once across overlapping results.
+
+Records travel SP -> client as the canonical bytes the heap file stores:
+the SP does not decode them, the result is charged ``sum(len(payload))``,
+and the client hashes the bytes it received and decodes them itself
+(:class:`QueryOutcome.records` are those client-decoded tuples).
 
 Every request carries its own :class:`~repro.core.pipeline.ExecutionContext`
 and yields a :class:`~repro.core.pipeline.QueryReceipt`, so any number of
@@ -42,7 +47,6 @@ from repro.core.design import (
 )
 from repro.core.owner import DataOwner
 from repro.core.pipeline import (
-    CostReceipt,
     ExecutionContext,
     QueryReceipt,
     ReadWriteLock,
@@ -62,13 +66,7 @@ from repro.core.scheme import (
 from repro.core.sharding import ShardedDeployment
 from repro.core.trusted_entity import ShardedTrustedEntity, TrustedEntity
 from repro.core.updates import UpdateBatch
-from repro.crypto.digest import (
-    Digest,
-    DigestScheme,
-    RecordMemo,
-    default_scheme,
-    get_scheme,
-)
+from repro.crypto.digest import Digest, DigestScheme, default_scheme, get_scheme
 from repro.crypto.signatures import CachedVerifier
 from repro.dbms.query import RangeQuery
 from repro.network.channel import NetworkTracker
@@ -106,6 +104,36 @@ class QueryOutcome:
     def cardinality(self) -> int:
         """Number of records the SP returned."""
         return len(self.records)
+
+    @classmethod
+    def of(
+        cls,
+        receipt: QueryReceipt,
+        verification: SAEVerificationResult,
+        details: Optional[dict] = None,
+    ) -> "QueryOutcome":
+        """The outcome of a receipt and a verdict: the records are the ones
+        the client decoded from the bytes it verified, the flat cost fields
+        mirror the receipt."""
+        return cls(
+            query=receipt.query,
+            records=verification.records,
+            verification=verification,
+            sp_accesses=receipt.sp.node_accesses,
+            te_accesses=receipt.te.node_accesses,
+            sp_cost_ms=receipt.sp.io_cost_ms,
+            te_cost_ms=receipt.te.io_cost_ms,
+            auth_bytes=receipt.auth_bytes,
+            result_bytes=receipt.result_bytes,
+            client_cpu_ms=receipt.client_cpu_ms,
+            details=details or {},
+            receipt=receipt,
+        )
+
+
+def _result_message(payloads: List[bytes]) -> ResultResponse:
+    """The SP's answer as it is charged: the stored record bytes, nothing else."""
+    return ResultResponse(records=payloads, payload_size_hint=sum(map(len, payloads)))
 
 
 @register_scheme
@@ -222,18 +250,15 @@ class SaeScheme(AuthScheme):
                 storage=self._storage,
             )
         self.owner = DataOwner(dataset, network=self._network)
-        self.client = Client(scheme=self._scheme, key_index=dataset.schema.key_index)
+        self.client = Client(
+            scheme=self._scheme,
+            key_index=dataset.schema.key_index,
+            arity=len(dataset.schema.columns),
+        )
         # Epoch stamps repeat across queries; the cached verifier answers
         # repeats with a dict lookup instead of an RSA exponentiation.
         self._epoch_verifier = CachedVerifier(
             self.owner.epoch_verifier, capacity=self._design.verifier_cache
-        )
-        # Cross-query memo over record encodings and digests, shared between
-        # the SP legs (payload sizing) and the client leg (verification
-        # hashing).  Content-addressed, so update batches need no
-        # invalidation: replaced records simply stop being looked up.
-        self._record_memo = RecordMemo(
-            self._scheme, capacity=self._design.memo_capacity
         )
         self._ready = False
         self._init_dispatch(max_workers)
@@ -262,11 +287,6 @@ class SaeScheme(AuthScheme):
     def network(self) -> NetworkTracker:
         """The byte-accounting network tracker."""
         return self._network
-
-    @property
-    def record_memo(self) -> RecordMemo:
-        """The deployment's cross-query record encoding/digest memo."""
-        return self._record_memo
 
     @property
     def dataset(self) -> Dataset:
@@ -468,45 +488,27 @@ class SaeScheme(AuthScheme):
                 standby.receive_epoch_stamp(self.owner.epoch_stamp)
 
     # ------------------------------------------------------------------ party legs
-    def _size_result(
-        self, records: List[Tuple[Any, ...]], ctx: ExecutionContext
-    ) -> int:
-        """Size the result payload through the memo, charging it to ``ctx.sp``.
-
-        Equals ``sum(len(encode_record(r)))`` byte-for-byte; the memo serves
-        repeat records from its cache across queries and batches, and the
-        hit/miss tallies land on the SP receipt next to the pool counters.
-        """
-        with self._record_memo.scoped_stats() as memo:
-            hint = sum(len(self._record_memo.encoded(record)) for record in records)
-        if memo.hits or memo.misses:
-            ctx.sp = (ctx.sp or ZERO_RECEIPT) + CostReceipt(
-                memo_hits=memo.hits, memo_misses=memo.misses
-            )
-        return hint
-
     def _serve_sp(
         self,
         query: RangeQuery,
         ctx: ExecutionContext,
         record_cache: Optional[dict] = None,
-    ) -> Tuple[List[Tuple[Any, ...]], ResultResponse]:
+    ) -> Tuple[List[bytes], ResultResponse]:
         """The SP leg of one request: receive the query, return the result."""
         request = QueryRequest(query=query)
         self._network.channel("client", "SP").send(request, session=ctx)
-        records = self.provider.execute(query, ctx, record_cache=record_cache)
+        payloads = self.provider.execute(query, ctx, record_cache=record_cache)
         ctx.epoch_stamp = self.provider.current_stamp()
-        hint = self._size_result(records, ctx)
-        result_message = ResultResponse(records=records, payload_size_hint=hint)
+        result_message = _result_message(payloads)
         self._network.channel("SP", "client").send(result_message, session=ctx)
-        return records, result_message
+        return payloads, result_message
 
     def _serve_sp_chunk(
         self,
         queries: Sequence[RangeQuery],
         contexts: Sequence[ExecutionContext],
         record_cache: dict,
-    ) -> List[Tuple[List[Tuple[Any, ...]], ResultResponse]]:
+    ) -> List[Tuple[List[bytes], ResultResponse]]:
         """Serve a contiguous slice of a batch's SP legs on one worker.
 
         Chunking keeps the number of in-flight pool tasks at the worker
@@ -533,7 +535,6 @@ class SaeScheme(AuthScheme):
         self,
         query: RangeQuery,
         ctx: ExecutionContext,
-        records: List[Tuple[Any, ...]],
         result_message: ResultResponse,
         token_message: Optional[VTResponse],
         verification: SAEVerificationResult,
@@ -549,19 +550,7 @@ class SaeScheme(AuthScheme):
             client_cpu_ms=verification.cpu_ms,
             bytes_by_channel=dict(ctx.bytes_by_channel),
         )
-        return QueryOutcome(
-            query=query,
-            records=records,
-            verification=verification,
-            sp_accesses=receipt.sp.node_accesses,
-            te_accesses=receipt.te.node_accesses,
-            sp_cost_ms=receipt.sp.io_cost_ms,
-            te_cost_ms=receipt.te.io_cost_ms,
-            auth_bytes=receipt.auth_bytes,
-            result_bytes=receipt.result_bytes,
-            client_cpu_ms=receipt.client_cpu_ms,
-            receipt=receipt,
-        )
+        return QueryOutcome.of(receipt, verification)
 
     # ------------------------------------------------------------------ shard legs
     def _serve_sp_leg(
@@ -570,7 +559,7 @@ class SaeScheme(AuthScheme):
         query: RangeQuery,
         ctx: ExecutionContext,
         record_cache: Optional[dict] = None,
-    ) -> Tuple[List[Tuple[Any, ...]], ResultResponse]:
+    ) -> Tuple[List[bytes], ResultResponse]:
         """One shard's SP leg of a scattered query, with replica failover.
 
         The leg walks the shard's replica rotation: dead replicas fail fast
@@ -584,7 +573,7 @@ class SaeScheme(AuthScheme):
         request = QueryRequest(query=query)
         self._network.channel("client", party).send(request, session=ctx)
         router = self._replica_router
-        records: Optional[List[Tuple[Any, ...]]] = None
+        payloads: Optional[List[bytes]] = None
         failed: List[int] = []
         for replica in router.attempt_order(shard_id):
             if router.is_down(shard_id, replica):
@@ -592,7 +581,7 @@ class SaeScheme(AuthScheme):
                 continue
             fleet = self._sp_replicas[replica]
             try:
-                records = fleet.execute_shard(
+                payloads = fleet.execute_shard(
                     shard_id, query, ctx, record_cache=record_cache
                 )
             except ReplicaDownError:
@@ -602,14 +591,13 @@ class SaeScheme(AuthScheme):
             ctx.failed_replicas = tuple(failed)
             ctx.epoch_stamp = fleet.shard(shard_id).current_stamp()
             break
-        if records is None:
+        if payloads is None:
             raise ReplicaDownError(
                 f"every replica of shard {shard_id} is down: {failed}"
             )
-        hint = self._size_result(records, ctx)
-        result_message = ResultResponse(records=records, payload_size_hint=hint)
+        result_message = _result_message(payloads)
         self._network.channel(party, "client").send(result_message, session=ctx)
-        return records, result_message
+        return payloads, result_message
 
     def _serve_te_leg(
         self, shard_id: int, query: RangeQuery, ctx: ExecutionContext
@@ -647,7 +635,6 @@ class SaeScheme(AuthScheme):
         self,
         query: RangeQuery,
         ctx: ExecutionContext,
-        records: List[Tuple[Any, ...]],
         leg_receipts: Sequence[ShardLegReceipt],
         leg_contexts: Sequence[ExecutionContext],
         verification: SAEVerificationResult,
@@ -673,19 +660,8 @@ class SaeScheme(AuthScheme):
             bytes_by_channel=dict(ctx.bytes_by_channel),
             legs=tuple(leg_receipts),
         )
-        return QueryOutcome(
-            query=query,
-            records=records,
-            verification=verification,
-            sp_accesses=receipt.sp.node_accesses,
-            te_accesses=receipt.te.node_accesses,
-            sp_cost_ms=receipt.sp.io_cost_ms,
-            te_cost_ms=receipt.te.io_cost_ms,
-            auth_bytes=receipt.auth_bytes,
-            result_bytes=receipt.result_bytes,
-            client_cpu_ms=receipt.client_cpu_ms,
-            details={"shards": [leg.shard for leg in leg_receipts]},
-            receipt=receipt,
+        return QueryOutcome.of(
+            receipt, verification, {"shards": [leg.shard for leg in leg_receipts]}
         )
 
     def _query_sharded(
@@ -713,13 +689,11 @@ class SaeScheme(AuthScheme):
                 for future in te_futures
             ]
 
-        records: List[Tuple[Any, ...]] = []
         leg_receipts: List[ShardLegReceipt] = []
         verify_legs = []
-        for shard_id, leg_ctx, (leg_records, result_message), (token, token_message) in zip(
+        for shard_id, leg_ctx, (payloads, result_message), (token, token_message) in zip(
             shard_ids, leg_contexts, sp_results, te_results
         ):
-            records.extend(leg_records)
             leg_receipts.append(
                 ShardLegReceipt(
                     shard=shard_id,
@@ -731,19 +705,29 @@ class SaeScheme(AuthScheme):
                     failed_replicas=leg_ctx.failed_replicas,
                 )
             )
-            if token is not None:
-                verify_legs.append((shard_id, leg_records, token, leg_ctx.epoch_stamp))
-        if verify:
-            verification = self.client.verify_shards(
-                verify_legs,
-                query=query,
-                expected_epoch=expected_epoch,
-                epoch_verifier=self._epoch_verifier,
-            )
-        else:
-            verification = SAEVerificationResult.skipped_result(self._scheme)
+            verify_legs.append((shard_id, payloads, token, leg_ctx.epoch_stamp))
+        verification = self._verify_legs(verify, verify_legs, query, expected_epoch)
         return self._assemble_sharded(
-            query, ctx, records, leg_receipts, leg_contexts, verification
+            query, ctx, leg_receipts, leg_contexts, verification
+        )
+
+    def _verify_legs(
+        self,
+        verify: bool,
+        legs: Sequence[Tuple],
+        query: RangeQuery,
+        expected_epoch: int,
+        digest_cache: Optional[dict] = None,
+    ) -> SAEVerificationResult:
+        """The client's leg-by-leg verdict, or its decode-only skipped one."""
+        if not verify:
+            return self.client.verify([p for leg in legs for p in leg[1]], None)
+        return self.client.verify_shards(
+            legs,
+            query=query,
+            digest_cache=digest_cache,
+            expected_epoch=expected_epoch,
+            epoch_verifier=self._epoch_verifier,
         )
 
     def _serve_sp_leg_chunk(
@@ -752,7 +736,7 @@ class SaeScheme(AuthScheme):
         queries: Sequence[RangeQuery],
         leg_contexts: Dict[Tuple[int, int], ExecutionContext],
         record_caches: Dict[int, dict],
-    ) -> List[Tuple[Tuple[int, int], Tuple[List[Tuple[Any, ...]], ResultResponse]]]:
+    ) -> List[Tuple[Tuple[int, int], Tuple[List[bytes], ResultResponse]]]:
         """Serve a slice of a batch's SP shard legs on one pool worker."""
         return [
             (
@@ -833,23 +817,21 @@ class SaeScheme(AuthScheme):
                     for position, leg_result in zip(positions, future.result()):
                         te_map[(position, shard_id)] = leg_result
 
-            sp_map: Dict[Tuple[int, int], Tuple[List[Tuple[Any, ...]], ResultResponse]] = {}
+            sp_map: Dict[Tuple[int, int], Tuple[List[bytes], ResultResponse]] = {}
             for future in sp_futures:
                 for leg, leg_result in future.result():
                     sp_map[leg] = leg_result
 
-        digest_cache: Dict[Tuple[Any, ...], Digest] = {}
+        digest_cache: dict = {}
         outcomes: List[QueryOutcome] = []
         for position, (query, ctx) in enumerate(zip(queries, contexts)):
-            records: List[Tuple[Any, ...]] = []
             leg_receipts: List[ShardLegReceipt] = []
             query_leg_contexts: List[ExecutionContext] = []
             verify_legs = []
             for shard_id in shard_ids_per_query[position]:
                 leg = (position, shard_id)
-                leg_records, result_message = sp_map[leg]
+                payloads, result_message = sp_map[leg]
                 token, token_message = te_map.get(leg, (None, None))
-                records.extend(leg_records)
                 query_leg_contexts.append(leg_contexts[leg])
                 leg_ctx = leg_contexts[leg]
                 leg_receipts.append(
@@ -863,27 +845,13 @@ class SaeScheme(AuthScheme):
                         failed_replicas=leg_ctx.failed_replicas,
                     )
                 )
-                if token is not None:
-                    verify_legs.append(
-                        (shard_id, leg_records, token, leg_ctx.epoch_stamp)
-                    )
-            if verify:
-                for record in records:
-                    key = tuple(record)
-                    if key not in digest_cache:
-                        digest_cache[key] = self._record_memo.digest(record)
-                verification = self.client.verify_shards(
-                    verify_legs,
-                    query=query,
-                    digest_cache=digest_cache,
-                    expected_epoch=expected_epoch,
-                    epoch_verifier=self._epoch_verifier,
-                )
-            else:
-                verification = SAEVerificationResult.skipped_result(self._scheme)
+                verify_legs.append((shard_id, payloads, token, leg_ctx.epoch_stamp))
+            verification = self._verify_legs(
+                verify, verify_legs, query, expected_epoch, digest_cache
+            )
             outcomes.append(
                 self._assemble_sharded(
-                    query, ctx, records, leg_receipts, query_leg_contexts, verification
+                    query, ctx, leg_receipts, query_leg_contexts, verification
                 )
             )
         return outcomes
@@ -915,19 +883,7 @@ class SaeScheme(AuthScheme):
             result_bytes=0,
             client_cpu_ms=0.0,
         )
-        return QueryOutcome(
-            query=query,
-            records=[],
-            verification=verification,
-            sp_accesses=0,
-            te_accesses=0,
-            sp_cost_ms=0.0,
-            te_cost_ms=0.0,
-            auth_bytes=0,
-            result_bytes=0,
-            client_cpu_ms=0.0,
-            receipt=receipt,
-        )
+        return QueryOutcome.of(receipt, verification)
 
     def query(self, low: Any, high: Any, verify: bool = True) -> QueryOutcome:
         """Issue one verified range query with parallel SP/TE dispatch.
@@ -957,23 +913,20 @@ class SaeScheme(AuthScheme):
             te_future: Optional[Future] = (
                 pool.submit(self._serve_te, query, ctx) if verify else None
             )
-            records, result_message = sp_future.result()
+            payloads, result_message = sp_future.result()
             token_message: Optional[VTResponse] = None
             token: Optional[Digest] = None
             if te_future is not None:
                 token, token_message = te_future.result()
-        if token is not None:
-            verification = self.client.verify(
-                records,
-                token,
-                query=query,
-                epoch_stamp=ctx.epoch_stamp,
-                expected_epoch=expected_epoch,
-                epoch_verifier=self._epoch_verifier,
-            )
-        else:
-            verification = SAEVerificationResult.skipped_result(self._scheme)
-        return self._assemble(query, ctx, records, result_message, token_message, verification)
+        verification = self.client.verify(
+            payloads,
+            token,
+            query=query,
+            epoch_stamp=ctx.epoch_stamp,
+            expected_epoch=expected_epoch,
+            epoch_verifier=self._epoch_verifier,
+        )
+        return self._assemble(query, ctx, result_message, token_message, verification)
 
     def query_many(
         self, bounds: Sequence[Tuple[Any, Any]], verify: bool = True
@@ -1041,34 +994,27 @@ class SaeScheme(AuthScheme):
                     te_channel_out.send(message, session=ctx)
                     token_messages[position] = message
 
-            sp_results: List[Tuple[List[Tuple[Any, ...]], ResultResponse]] = []
+            sp_results: List[Tuple[List[bytes], ResultResponse]] = []
             for future in sp_futures:
                 sp_results.extend(future.result())
 
-        digest_cache: Dict[Tuple[Any, ...], Digest] = {}
+        digest_cache: dict = {}
         outcomes: List[QueryOutcome] = []
-        for position, (records, result_message) in enumerate(sp_results):
-            query = queries[position]
+        for position, (payloads, result_message) in enumerate(sp_results):
             ctx = contexts[position]
-            if verify:
-                for record in records:
-                    key = tuple(record)
-                    if key not in digest_cache:
-                        digest_cache[key] = self._record_memo.digest(record)
-                verification = self.client.verify(
-                    records,
-                    tokens[position],
-                    query=query,
-                    digest_cache=digest_cache,
-                    epoch_stamp=ctx.epoch_stamp,
-                    expected_epoch=expected_epoch,
-                    epoch_verifier=self._epoch_verifier,
-                )
-            else:
-                verification = SAEVerificationResult.skipped_result(self._scheme)
+            verification = self.client.verify(
+                payloads,
+                tokens[position],
+                query=queries[position],
+                digest_cache=digest_cache,
+                epoch_stamp=ctx.epoch_stamp,
+                expected_epoch=expected_epoch,
+                epoch_verifier=self._epoch_verifier,
+            )
             outcomes.append(
                 self._assemble(
-                    query, ctx, records, result_message, token_messages[position], verification
+                    queries[position], ctx, result_message, token_messages[position],
+                    verification,
                 )
             )
         return outcomes

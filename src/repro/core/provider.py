@@ -12,13 +12,14 @@ its stored data, exactly like a cheating provider would.
 from __future__ import annotations
 
 import time
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from repro.core.attacks import AttackModel, NoAttack
 from repro.core.dataset import Dataset
 from repro.core.pipeline import CostReceipt, ExecutionContext, ZERO_RECEIPT, deprecated_accessor
 from repro.core.sharding import AttackableFleet
 from repro.core.updates import DeleteRecord, InsertRecord, ModifyRecord, UpdateBatch
+from repro.crypto.encoding import decode_record, encode_record
 from repro.dbms.query import RangeQuery
 from repro.dbms.sqlite_backend import SQLiteTable
 from repro.dbms.table import Table
@@ -171,26 +172,29 @@ class ServiceProvider:
         query: RangeQuery,
         ctx: Optional[ExecutionContext] = None,
         record_cache: Optional[dict] = None,
-    ) -> List[Tuple[Any, ...]]:
-        """Answer a range query, applying the configured attack (if any).
+    ) -> List[bytes]:
+        """Answer a range query with the records' canonical bytes.
+
+        The heap backend ships the payloads its heap file stores, never
+        decoded here; sqlite, which stores columns, encodes each row once.
+        An attack acts on tuples, so a misbehaving SP decodes, corrupts and
+        re-encodes what it sends.
 
         The SP's per-query cost (node accesses of the index traversal, leaf
         scan and record retrieval) is returned as a :class:`CostReceipt` on
         ``ctx.sp``; the method is safe to call from any number of threads
         because the accounting is scoped to the calling request.
         ``record_cache`` (heap backend only) lets a batch of overlapping
-        queries decode each fetched record once -- cache hits are charged
-        the same heap access as a real fetch.
+        queries fetch each record once -- cache hits are charged the same
+        heap access as a real fetch.
         """
         store = self._require_store()
         with self._counter.scoped() as tally, self._store.scoped_stats() as pool:
             started = time.perf_counter()
-            if record_cache is not None and self._backend == "heap":
-                records = store.range_query(
-                    query, fetch_records=True, record_cache=record_cache
-                )
+            if self._backend == "heap":
+                payloads = store.range_payloads(query, record_cache=record_cache)
             else:
-                records = store.range_query(query, fetch_records=True)
+                payloads = [encode_record(row) for row in store.range_query(query)]
             cpu_ms = (time.perf_counter() - started) * 1000.0
         receipt = CostReceipt(
             node_accesses=tally.node_accesses,
@@ -203,7 +207,10 @@ class ServiceProvider:
         if ctx is not None:
             ctx.sp = receipt
         self._last_receipt = receipt  # feeds the deprecated last_* shims only
-        return self._attack.apply(list(records), query)
+        if self.is_honest:
+            return payloads
+        corrupted = self._attack.apply([decode_record(p) for p in payloads], query)
+        return [encode_record(record) for record in corrupted]
 
     def index_only_accesses(self, query: RangeQuery) -> int:
         """Node accesses of the index traversal and leaf scan alone.
@@ -374,7 +381,7 @@ class ShardedServiceProvider(AttackableFleet):
         query: RangeQuery,
         ctx: Optional[ExecutionContext] = None,
         record_cache: Optional[dict] = None,
-    ) -> List[Tuple[Any, ...]]:
+    ) -> List[bytes]:
         """One shard leg of a scattered query (receipt lands on ``ctx.sp``)."""
         return self._shards[shard_id].execute(query, ctx, record_cache=record_cache)
 
@@ -383,7 +390,7 @@ class ShardedServiceProvider(AttackableFleet):
         query: RangeQuery,
         ctx: Optional[ExecutionContext] = None,
         record_cache: Optional[dict] = None,
-    ) -> List[Tuple[Any, ...]]:
+    ) -> List[bytes]:
         """Scatter ``query`` to the overlapping shards and gather in key order.
 
         This is the sequential fallback used when the caller does not manage
@@ -392,7 +399,7 @@ class ShardedServiceProvider(AttackableFleet):
         only unique within a shard's heap file).  The merged receipt on
         ``ctx.sp`` equals the sum of the shard-leg receipts.
         """
-        merged: List[Tuple[Any, ...]] = []
+        merged: List[bytes] = []
         total = ZERO_RECEIPT
         for shard_id in self.shards_for(query):
             leg_ctx = ExecutionContext(query=query)

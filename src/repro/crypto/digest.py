@@ -75,6 +75,16 @@ class DigestScheme:
         raw = _hash_constructor(self.name)(data).digest()
         return Digest(raw, scheme=self)
 
+    @property
+    def hasher(self):
+        """The ``hashlib`` constructor behind :meth:`hash`.
+
+        ``hasher(data).digest()`` are the bytes ``hash(data).raw`` wraps; bulk
+        folds over thousands of records use it to skip a :class:`Digest`
+        object per record.
+        """
+        return _hash_constructor(self.name)
+
     def zero(self) -> "Digest":
         """Return the XOR identity element (all-zero digest) for this scheme."""
         return Digest(b"\x00" * self.digest_size, scheme=self)

@@ -31,6 +31,7 @@ _TAG_STR = 0x03
 _TAG_BYTES = 0x04
 _TAG_BOOL = 0x05
 
+_COUNT = struct.Struct(">I")  # number of fields in the record
 _HEADER = struct.Struct(">BI")  # type tag, payload length
 _INT64 = struct.Struct(">q")
 _FLOAT64 = struct.Struct(">d")
@@ -69,60 +70,69 @@ def _encode_field(value: Any) -> bytes:
     raise EncodingError(f"cannot encode field of type {type(value).__name__}")
 
 
-def _decode_field(buffer: memoryview, offset: int) -> Tuple[Any, int]:
-    """Decode one field starting at ``offset``; return ``(value, new_offset)``."""
-    if offset + _HEADER.size > len(buffer):
-        raise EncodingError("truncated field header")
-    tag, length = _HEADER.unpack_from(buffer, offset)
-    offset += _HEADER.size
-    if offset + length > len(buffer):
-        raise EncodingError("truncated field payload")
-    payload = bytes(buffer[offset:offset + length])
-    offset += length
-
-    if tag == _TAG_NONE:
-        return None, offset
-    if tag == _TAG_BOOL:
-        return payload == b"\x01", offset
-    if tag == _TAG_INT:
-        if length == _INT64.size:
-            return _INT64.unpack(payload)[0], offset
-        sign = -1 if payload[:1] == b"\x01" else 1
-        return sign * int.from_bytes(payload[1:], "big"), offset
-    if tag == _TAG_FLOAT:
-        return _FLOAT64.unpack(payload)[0], offset
-    if tag == _TAG_STR:
-        return payload.decode("utf-8"), offset
-    if tag == _TAG_BYTES:
-        return payload, offset
-    raise EncodingError(f"unknown field tag 0x{tag:02x}")
-
-
 def encode_record(fields: Sequence[Any]) -> bytes:
     """Encode a record (sequence of field values) to its canonical bytes.
 
     This byte string is what gets hashed to produce the record digest, and
     also what the heap file stores on disk.
     """
-    parts: List[bytes] = [struct.pack(">I", len(fields))]
+    parts: List[bytes] = [_COUNT.pack(len(fields))]
     for value in fields:
         parts.append(_encode_field(value))
     return b"".join(parts)
 
 
 def decode_record(data: bytes) -> Tuple[Any, ...]:
-    """Inverse of :func:`encode_record`."""
-    buffer = memoryview(data)
-    if len(buffer) < 4:
+    """Inverse of :func:`encode_record`.
+
+    The SAE client runs this over every payload an untrusted SP sends, so
+    it is one flat loop over the ``bytes`` (no per-field call, no copy
+    beyond the value itself) and every malformed input -- including a float
+    of the wrong width and invalid UTF-8 -- raises :class:`EncodingError`.
+    """
+    if type(data) is not bytes:
+        data = bytes(data)
+    size = len(data)
+    if size < 4:
         raise EncodingError("truncated record header")
-    (count,) = struct.unpack_from(">I", buffer, 0)
+    (count,) = _COUNT.unpack_from(data, 0)
     offset = 4
     fields: List[Any] = []
+    append = fields.append
+    unpack_header, header_size = _HEADER.unpack_from, _HEADER.size
     for _ in range(count):
-        value, offset = _decode_field(buffer, offset)
-        fields.append(value)
-    if offset != len(buffer):
-        raise EncodingError(f"{len(buffer) - offset} trailing bytes after record")
+        start = offset + header_size
+        if start > size:
+            raise EncodingError("truncated field header")
+        tag, length = unpack_header(data, offset)
+        offset = start + length
+        if offset > size:
+            raise EncodingError("truncated field payload")
+        if tag == _TAG_INT:
+            if length == 8:
+                append(_INT64.unpack_from(data, start)[0])
+            else:
+                sign = -1 if data[start:start + 1] == b"\x01" else 1
+                append(sign * int.from_bytes(data[start + 1:offset], "big"))
+        elif tag == _TAG_BYTES:
+            append(data[start:offset])
+        elif tag == _TAG_STR:
+            try:
+                append(data[start:offset].decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise EncodingError(f"string field is not valid UTF-8: {exc}") from None
+        elif tag == _TAG_FLOAT:
+            if length != 8:
+                raise EncodingError(f"float field of {length} bytes (expected 8)")
+            append(_FLOAT64.unpack_from(data, start)[0])
+        elif tag == _TAG_NONE:
+            append(None)
+        elif tag == _TAG_BOOL:
+            append(data[start:offset] == b"\x01")
+        else:
+            raise EncodingError(f"unknown field tag 0x{tag:02x}")
+    if offset != size:
+        raise EncodingError(f"{size - offset} trailing bytes after record")
     return tuple(fields)
 
 

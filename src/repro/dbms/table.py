@@ -187,37 +187,45 @@ class Table:
         """Fetch a record by its physical record id."""
         return self._codec.decode(self._heap.get(rid, charge=charge))
 
+    def range_payloads(self, query: RangeQuery, charge_heap: bool = True,
+                       record_cache: Optional[Dict[RecordId, bytes]] = None
+                       ) -> List[bytes]:
+        """The stored bytes of every record in the range, in key order.
+
+        These are the canonical encodings :meth:`insert` wrote, handed out
+        without a decode -- what the SAE SP ships to the client.
+
+        ``record_cache`` (RID -> payload) lets a batch of overlapping queries
+        fetch each record once; a cache hit is still charged one heap access
+        so per-query cost accounting is unchanged.  The cache must not
+        outlive the batch (updates would make it stale).
+        """
+        fetch = self._heap.get
+        matches = self._index.range_search(query.low, query.high)
+        if record_cache is None:
+            return [fetch(rid, charge=charge_heap) for _, rid in matches]
+        payloads = []
+        for _, rid in matches:
+            payload = record_cache.get(rid)
+            if payload is None:
+                payload = record_cache[rid] = fetch(rid, charge=charge_heap)
+            elif charge_heap:
+                self._counter.record_node_access()
+            payloads.append(payload)
+        return payloads
+
     def range_query(self, query: RangeQuery, fetch_records: bool = True,
-                    charge_heap: bool = True,
-                    record_cache: Optional[Dict[RecordId, Tuple[Any, ...]]] = None
-                    ) -> List[Tuple[Any, ...]]:
+                    charge_heap: bool = True) -> List[Tuple[Any, ...]]:
         """Answer a range query on the key column.
 
         With ``fetch_records`` the full records are retrieved from the heap
-        file (what the SP returns to the client); otherwise only the index
-        is consulted and ``(key, rid)`` pairs are returned.
-
-        ``record_cache`` (RID -> decoded record) lets a batch of overlapping
-        queries decode each record once; a cache hit is still charged one
-        heap access so per-query cost accounting is unchanged.  The cache
-        must not outlive the batch (updates would make it stale).
+        file and decoded; otherwise only the index is consulted and
+        ``(key, rid)`` pairs are returned.
         """
-        matches = self._index.range_search(query.low, query.high)
         if not fetch_records:
-            return matches
-        if record_cache is None:
-            return [self._codec.decode(self._heap.get(rid, charge=charge_heap))
-                    for _, rid in matches]
-        records = []
-        for _, rid in matches:
-            record = record_cache.get(rid)
-            if record is None:
-                record = self._codec.decode(self._heap.get(rid, charge=charge_heap))
-                record_cache[rid] = record
-            elif charge_heap:
-                self._counter.record_node_access()
-            records.append(record)
-        return records
+            return self._index.range_search(query.low, query.high)
+        decode = self._codec.decode
+        return [decode(payload) for payload in self.range_payloads(query, charge_heap)]
 
     def scan(self) -> Iterator[Tuple[Any, ...]]:
         """Full scan in physical order (no access charges; used by tests)."""

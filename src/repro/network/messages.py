@@ -8,7 +8,7 @@ layout as the storage figures rather than from ad-hoc estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple, Union
 
 from repro.crypto.digest import Digest
 from repro.crypto.encoding import encode_record
@@ -47,13 +47,14 @@ class QueryRequest(Message):
 class ResultResponse(Message):
     """The SP's answer: the full result records (no authentication data in SAE).
 
-    ``payload_size_hint`` lets a batched sender that has already encoded the
-    records (e.g. for digest computation) supply the payload size instead of
-    re-encoding every record here; the value must equal what
-    ``sum(len(encode_record(r)))`` would produce.
+    ``payload_size_hint`` lets a sender that already holds the records'
+    encodings supply the payload size instead of re-encoding every record
+    here; the value must equal what ``sum(len(encode_record(r)))`` would
+    produce.  The SAE SP ships the stored canonical bytes themselves as
+    ``records`` and always hints ``sum(len(payload))``.
     """
 
-    records: List[Tuple[Any, ...]]
+    records: List[Union[Tuple[Any, ...], bytes]]
     payload_size_hint: Optional[int] = None
 
     def payload_bytes(self) -> int:

@@ -1,0 +1,183 @@
+"""A record is encoded once, by the owner -- the invariant and its counts.
+
+The SAE SP ships the heap file's stored bytes and the client hashes and
+decodes exactly those bytes.  That only verifies if the stored payload, the
+canonical encoding and what the TE digested are the same byte string for
+every record, after every kind of update, on both storage tiers; this module
+pins that, the encode/decode call counts the design promises, and that the
+receipts did not move against values recorded from the parent commit.
+"""
+
+import json
+import os
+
+import pytest
+
+from repro.core import OutsourcedDB, UpdateBatch
+from repro.core.design import PhysicalDesign
+from repro.core.tuples import digest_record
+from repro.crypto.encoding import decode_record, encode_record
+from repro.workloads import build_dataset
+
+PARITY_FIXTURE = os.path.join(
+    os.path.dirname(__file__), "..", "unit", "fixtures", "receipt_parity.json"
+)
+
+BOUNDS = [(0, 400_000), (150_000, 900_000), (5_000_000, 5_600_000), (9_990_000, 10_000_000)]
+
+
+def deploy(tmp_path, storage, max_workers=None, **design):
+    dataset = build_dataset(3_000, record_size=96, seed=11)
+    kwargs = {"design": PhysicalDesign(pool_pages=4, **design), "max_workers": max_workers}
+    if storage == "paged":
+        kwargs.update(storage="paged", data_dir=str(tmp_path))
+    return OutsourcedDB(dataset, scheme="sae", **kwargs).setup()
+
+
+# ---------------------------------------------------------------------- (i) the invariant
+def assert_stored_bytes_are_canonical(db):
+    """Heap payload == encode_record(record) == what the TE digested."""
+    system = db.system
+    table = system.provider._table
+    te_tuples = system.trusted_entity._tuples_by_id
+    records = db.dataset.records
+    assert len(records) == table.num_records == len(te_tuples)
+    for record in records:
+        record_id = db.dataset.id_of(record)
+        payload = table.heap.get(table._rid_by_id[record_id], charge=False)
+        assert payload == encode_record(record)
+        assert decode_record(payload) == tuple(record)
+        assert te_tuples[record_id].digest == system.client.scheme.hash(payload)
+        assert te_tuples[record_id].digest == digest_record(record, system.client.scheme)
+
+
+@pytest.mark.parametrize("storage", ["memory", "paged"])
+def test_stored_payload_is_the_canonical_encoding_the_te_digested(tmp_path, storage):
+    with deploy(tmp_path, storage) as db:
+        assert_stored_bytes_are_canonical(db)  # after bulk load
+        victim, mover = db.dataset.records[3], db.dataset.records[40]
+        db.apply_updates(UpdateBatch().insert((900_001, 123_456, b"fresh" * 9)))
+        assert_stored_bytes_are_canonical(db)
+        db.apply_updates(UpdateBatch().modify((victim[0], victim[1], b"rewritten" * 30)))
+        assert_stored_bytes_are_canonical(db)
+        db.apply_updates(UpdateBatch().modify((mover[0], 9_999_999, mover[2])))  # key change
+        assert_stored_bytes_are_canonical(db)
+        db.apply_updates(UpdateBatch().delete(db.dataset.records[7][0]))
+        assert_stored_bytes_are_canonical(db)
+        outcome = db.query(0, 10_000_000)
+        assert outcome.verified
+        assert sorted(outcome.records) == sorted(db.dataset.records)
+
+
+# ---------------------------------------------------------------------- (ii) the counts
+@pytest.fixture()
+def codec_calls(monkeypatch):
+    """Count every record encode / decode made anywhere under ``repro``."""
+    import sys
+
+    calls = {"encode": 0, "decode": 0}
+
+    def counting(name, real):
+        def wrapper(value):
+            calls[name] += 1
+            return real(value)
+        return wrapper
+
+    replacements = {
+        "encode_record": (encode_record, counting("encode", encode_record)),
+        "decode_record": (decode_record, counting("decode", decode_record)),
+    }
+    for module_name, module in list(sys.modules.items()):
+        # QueryRequest sizes the *bounds* with encode_record: not a record.
+        if not module_name.startswith("repro.") or module_name == "repro.network.messages":
+            continue
+        for attribute, (real, counted) in replacements.items():
+            if getattr(module, attribute, None) is real:
+                monkeypatch.setattr(module, attribute, counted)
+    return calls
+
+
+@pytest.mark.parametrize("design", [{}, {"shards": 3}], ids=["unsharded", "3-shard"])
+def test_honest_query_encodes_nothing_and_decodes_each_record_once(
+    tmp_path, codec_calls, design
+):
+    with deploy(tmp_path, "memory", **design) as db:
+        codec_calls.update(encode=0, decode=0)
+        outcome = db.query(0, 2_000_000)
+        assert outcome.verified and outcome.cardinality > 100
+        assert codec_calls == {"encode": 0, "decode": outcome.cardinality}
+
+
+def test_query_many_decodes_each_distinct_payload_of_a_batch_once(tmp_path, codec_calls):
+    with deploy(tmp_path, "memory") as db:
+        codec_calls.update(encode=0, decode=0)
+        outcomes = db.query_many([(0, 2_000_000), (1_000_000, 3_000_000), (0, 3_000_000)])
+        assert all(outcome.verified for outcome in outcomes)
+        distinct = {record for outcome in outcomes for record in outcome.records}
+        assert sum(o.cardinality for o in outcomes) > len(distinct)  # the bounds overlap
+        assert codec_calls == {"encode": 0, "decode": len(distinct)}
+
+
+def test_sqlite_backend_encodes_each_row_once(tmp_path, codec_calls):
+    dataset = build_dataset(300, record_size=96, seed=11)
+    with OutsourcedDB(dataset, scheme="sae", backend="sqlite").setup() as db:
+        codec_calls.update(encode=0, decode=0)
+        outcome = db.query(0, 10_000_000)
+        assert outcome.verified and outcome.cardinality == 300
+        assert codec_calls == {"encode": 300, "decode": 300}
+
+
+# ---------------------------------------------------------------------- (iii) receipt parity
+def receipt_row(outcome):
+    receipt = outcome.receipt
+    return {
+        "cardinality": outcome.cardinality,
+        "result_bytes": receipt.result_bytes,
+        "auth_bytes": receipt.auth_bytes,
+        "bytes_by_channel": dict(sorted(receipt.bytes_by_channel.items())),
+        "sp": [receipt.sp.node_accesses, receipt.sp.pool_hits,
+               receipt.sp.pool_misses, receipt.sp.pool_evictions],
+        "te": [receipt.te.node_accesses, receipt.te.pool_hits,
+               receipt.te.pool_misses, receipt.te.pool_evictions,
+               receipt.te.memo_hits, receipt.te.memo_misses],
+        "legs": [[leg.shard, leg.result_bytes, leg.auth_bytes,
+                  leg.sp.node_accesses, leg.te.node_accesses] for leg in receipt.legs],
+    }
+
+
+def receipt_fingerprint(tmp_path):
+    """Receipts of a fixed seeded session over four deployment shapes."""
+    shapes = {
+        "unsharded-memory": ("memory", {}),
+        "unsharded-paged": ("paged", {}),
+        "3-shard-paged": ("paged", {"shards": 3}),
+        "2-replica-memory": ("memory", {"replicas": 2}),
+    }
+    fingerprint = {}
+    for name, (storage, design) in shapes.items():
+        root = tmp_path / name
+        root.mkdir()
+        # One dispatch worker: legs sharing a buffer pool run in a fixed order,
+        # so the pool tallies repeat exactly.
+        with deploy(root, storage, max_workers=1, **design) as db:
+            outcomes = [db.query(low, high) for low, high in BOUNDS]
+            outcomes += db.query_many(BOUNDS)
+            assert all(outcome.verified for outcome in outcomes)
+            fingerprint[name] = [receipt_row(outcome) for outcome in outcomes]
+    return fingerprint
+
+
+def test_receipts_match_the_values_recorded_from_the_parent(tmp_path):
+    with open(PARITY_FIXTURE, encoding="utf-8") as handle:
+        recorded = json.load(handle)
+    assert receipt_fingerprint(tmp_path) == recorded
+
+
+def test_no_sp_memo_traffic_and_leg_sums_hold(tmp_path):
+    for design in ({}, {"shards": 3}, {"replicas": 2}):
+        with deploy(tmp_path, "memory", **design) as db:
+            for outcome in [db.query(*BOUNDS[1])] + db.query_many(BOUNDS):
+                receipt = outcome.receipt
+                assert (receipt.sp.memo_hits, receipt.sp.memo_misses) == (0, 0)
+                assert not receipt.legs or receipt.matches_leg_sums()
+            assert not hasattr(db.system, "record_memo")

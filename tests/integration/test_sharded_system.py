@@ -106,9 +106,9 @@ class TestScatterGatherEquivalence:
             outcome = sharded.query(low, high)
             assert outcome.receipt.matches_leg_sums()
             legs = outcome.receipt.legs
-            assert outcome.receipt.sp.memo_hits == sum(
-                leg.sp.memo_hits for leg in legs
-            )
+            # The SAE SP ships stored bytes: no memo sits on a query path.
+            assert (outcome.receipt.sp.memo_hits, outcome.receipt.sp.memo_misses) == (0, 0)
+            assert all((leg.sp.memo_hits, leg.sp.memo_misses) == (0, 0) for leg in legs)
             assert outcome.receipt.te.memo_misses == sum(
                 leg.te.memo_misses for leg in legs
             )

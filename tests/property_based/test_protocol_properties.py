@@ -12,6 +12,7 @@ from repro.core.client import Client
 from repro.core.dataset import Dataset
 from repro.core.provider import ServiceProvider
 from repro.core.trusted_entity import TrustedEntity
+from repro.crypto.encoding import decode_record, encode_record
 from repro.dbms.catalog import TableSchema
 from repro.dbms.query import RangeQuery
 
@@ -44,10 +45,11 @@ class TestEndToEndProperties:
         low, high = min(bounds), max(bounds)
         provider, trusted_entity, client = deploy(dataset)
         query = RangeQuery(low=low, high=high)
-        records = provider.execute(query)
+        payloads = provider.execute(query)
         token = trusted_entity.generate_vt(query)
-        assert client.verify(records, token, query=query).ok
-        assert sorted(records) == sorted(dataset.range(low, high))
+        result = client.verify(payloads, token, query=query)
+        assert result.ok
+        assert sorted(result.records) == sorted(dataset.range(low, high))
 
     @given(datasets, st.tuples(keys, keys), st.data())
     @settings(max_examples=40, deadline=None)
@@ -55,21 +57,21 @@ class TestEndToEndProperties:
         low, high = min(bounds), max(bounds)
         provider, trusted_entity, client = deploy(dataset)
         query = RangeQuery(low=low, high=high)
-        records = provider.execute(query)
+        payloads = provider.execute(query)
         token = trusted_entity.generate_vt(query)
-        if not records:
+        if not payloads:
             return
         action = data.draw(st.sampled_from(["drop", "modify", "inject", "duplicate"]))
-        tampered = list(records)
+        tampered = list(payloads)
         if action == "drop":
             del tampered[data.draw(st.integers(0, len(tampered) - 1))]
         elif action == "modify":
             index = data.draw(st.integers(0, len(tampered) - 1))
-            record = tampered[index]
-            tampered[index] = (record[0], record[1], record[2] + b"!")
+            record = decode_record(tampered[index])
+            tampered[index] = encode_record((record[0], record[1], record[2] + b"!"))
         elif action == "inject":
             key_inside = data.draw(st.integers(min_value=low, max_value=high))
-            tampered.append((10**9, key_inside, b"forged"))
+            tampered.append(encode_record((10**9, key_inside, b"forged")))
         else:  # duplicate an existing record
             tampered.append(tampered[0])
         assert not client.verify(tampered, token, query=query).ok

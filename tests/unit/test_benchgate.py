@@ -185,9 +185,11 @@ class TestProfileGateMetrics:
         assert not metrics["profile.tom.memo.warm_speedup"].gate
 
     def test_sae_report_omits_verify_cache_metrics(self):
-        metrics = self._by_name(profile_report(scheme="sae"))
+        # SAE signs nothing and has no query-path memo: no replay counters.
+        metrics = self._by_name(profile_report(scheme="sae", memo_hits=0, memo_misses=0))
         assert not any("verify_cache" in name for name in metrics)
-        assert "profile.sae.memo.replay_hits" in metrics
+        assert not any("memo.replay" in name for name in metrics)
+        assert metrics["profile.sae.memo.warm_speedup_capped"].gate
 
 
 class TestMergeBaseline:

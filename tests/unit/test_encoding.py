@@ -64,6 +64,21 @@ class TestEncodeDecodeRoundTrip:
         with pytest.raises(EncodingError):
             decode_record(b"")
 
+    def test_float_of_wrong_width_raises_encoding_error(self):
+        blob = b"\x00\x00\x00\x01" + b"\x02" + b"\x00\x00\x00\x04" + b"\x00" * 4
+        with pytest.raises(EncodingError, match="float field of 4 bytes"):
+            decode_record(blob)
+
+    def test_invalid_utf8_raises_encoding_error(self):
+        blob = b"\x00\x00\x00\x01" + b"\x03" + b"\x00\x00\x00\x02" + b"\xff\xfe"
+        with pytest.raises(EncodingError, match="not valid UTF-8"):
+            decode_record(blob)
+
+    def test_unknown_tag_raises(self):
+        blob = b"\x00\x00\x00\x01" + b"\x7f" + b"\x00\x00\x00\x00"
+        with pytest.raises(EncodingError, match="unknown field tag 0x7f"):
+            decode_record(blob)
+
 
 class TestRecordCodec:
     def test_requires_columns(self):

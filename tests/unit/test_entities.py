@@ -11,6 +11,7 @@ from repro.core.trusted_entity import TrustedEntity, TrustedEntityError
 from repro.core.tuples import digest_record
 from repro.core.updates import UpdateBatch
 from repro.crypto.digest import SHA1, fold_xor
+from repro.crypto.encoding import decode_record, encode_record
 from repro.dbms.catalog import TableSchema
 from repro.dbms.query import RangeQuery
 
@@ -22,25 +23,31 @@ def dataset(count=60):
                    records=[(i, i * 10, f"p{i}".encode()) for i in range(count)])
 
 
+def payloads_of(ds):
+    """What an honest SP ships for the whole relation: the canonical bytes."""
+    return [encode_record(record) for record in ds.records]
+
+
 class TestClient:
     def test_result_xor_matches_te_tuples(self):
         ds = dataset(12)
         client = Client()
         expected = fold_xor(digest_record(record) for record in ds.records)
-        assert client.compute_result_xor(ds.records) == expected
+        assert client.compute_result_xor(payloads_of(ds)) == expected
 
     def test_verify_accepts_matching_token(self):
         ds = dataset(5)
         client = Client(key_index=1)
         token = fold_xor(digest_record(record) for record in ds.records)
-        result = client.verify(ds.records, token, query=RangeQuery(low=0, high=1000))
+        result = client.verify(payloads_of(ds), token, query=RangeQuery(low=0, high=1000))
         assert result.ok
         assert result.records_hashed == 5
+        assert result.records == ds.records  # decoded by the client itself
 
     def test_verify_rejects_wrong_token(self):
         ds = dataset(5)
         client = Client()
-        result = client.verify(ds.records, SHA1.hash(b"not the token"))
+        result = client.verify(payloads_of(ds), SHA1.hash(b"not the token"))
         assert not result.ok
         assert "does not match" in result.reason
 
@@ -48,7 +55,7 @@ class TestClient:
         ds = dataset(5)
         client = Client(key_index=1)
         token = fold_xor(digest_record(record) for record in ds.records)
-        result = client.verify(ds.records, token, query=RangeQuery(low=0, high=5))
+        result = client.verify(payloads_of(ds), token, query=RangeQuery(low=0, high=5))
         assert not result.ok
         assert "outside the query range" in result.reason
 
@@ -70,8 +77,10 @@ class TestServiceProvider:
     def test_execute_returns_full_records(self):
         provider = ServiceProvider(page_size=512)
         provider.receive_dataset(dataset(30))
-        records = provider.execute(RangeQuery(low=100, high=200))
-        assert records == [(i, i * 10, f"p{i}".encode()) for i in range(10, 21)]
+        payloads = provider.execute(RangeQuery(low=100, high=200))
+        assert payloads == [
+            encode_record((i, i * 10, f"p{i}".encode())) for i in range(10, 21)
+        ]
 
     def test_cost_accounting(self):
         provider = ServiceProvider(page_size=512, node_access_ms=10.0)
@@ -111,8 +120,8 @@ class TestServiceProvider:
         provider = ServiceProvider()
         provider.receive_dataset(dataset(10))
         provider.apply_updates(UpdateBatch().insert((100, 55, b"new")).delete(0))
-        records = provider.execute(RangeQuery(low=0, high=1000))
-        ids = [record[0] for record in records]
+        payloads = provider.execute(RangeQuery(low=0, high=1000))
+        ids = [decode_record(payload)[0] for payload in payloads]
         assert 100 in ids and 0 not in ids
         assert provider.num_records == 10
 
@@ -212,7 +221,7 @@ class TestDataOwner:
 
         client = Client(key_index=1)
         query = RangeQuery(low=0, high=10_000)
-        records = provider.execute(query)
+        payloads = provider.execute(query)
         token = te.generate_vt(query)
-        assert client.verify(records, token, query=query).ok
+        assert client.verify(payloads, token, query=query).ok
         assert owner.dataset.cardinality == 30

@@ -232,8 +232,8 @@ class TestEntityReceipts:
         provider = ServiceProvider()
         provider.receive_dataset(dataset)
         ctx = ExecutionContext()
-        records = provider.execute(RangeQuery(low=0, high=2_000_000), ctx)
-        assert records
+        payloads = provider.execute(RangeQuery(low=0, high=2_000_000), ctx)
+        assert payloads and all(type(payload) is bytes for payload in payloads)
         assert ctx.sp is not None
         assert ctx.sp.node_accesses > 0
         assert ctx.sp.io_cost_ms == ctx.sp.node_accesses * 10.0
