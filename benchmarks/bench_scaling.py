@@ -13,7 +13,7 @@ cannot flake on a loaded runner.
 
 import pytest
 
-from repro.core import SAESystem
+from repro.core import SaeScheme
 from repro.experiments.scaling import model_response_ms, run_scaling
 from repro.workloads import build_dataset
 from repro.workloads.queries import RangeQueryWorkload
@@ -41,8 +41,8 @@ def bounds(dataset):
 
 
 def test_four_shards_reach_2x_model_qps(dataset, bounds):
-    single = SAESystem(dataset).setup()
-    sharded = SAESystem(dataset, shards=4).setup()
+    single = SaeScheme(dataset).setup()
+    sharded = SaeScheme(dataset, shards=4).setup()
 
     reference = single.query_many(bounds)
     scattered = sharded.query_many(bounds)
@@ -88,6 +88,6 @@ def test_scaling_sweep_trend(dataset):
 
 def test_sharded_query_many_benchmark(benchmark, dataset, bounds):
     """pytest-benchmark timing of the 4-shard scatter-gather (trajectory)."""
-    system = SAESystem(dataset, shards=4).setup()
+    system = SaeScheme(dataset, shards=4).setup()
     sample = bounds[:10]
     benchmark(lambda: system.query_many(sample))

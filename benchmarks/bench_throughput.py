@@ -2,9 +2,9 @@
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_throughput.py -q -s``.
 
-The headline check: on a 10k-record workload, :meth:`SAESystem.query_many`
+The headline check: on a 10k-record workload, :meth:`SaeScheme.query_many`
 (parallel SP/TE dispatch, batched VT generation, shared verification caches)
-must reach at least 1.5x the queries/sec of calling :meth:`SAESystem.query`
+must reach at least 1.5x the queries/sec of calling :meth:`SaeScheme.query`
 once per query -- while producing identical verification verdicts and
 identical per-query node-access counts, so the batching never changes what
 the paper's cost model reports.
@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro.core import SAESystem
+from repro.core import SaeScheme
 from repro.experiments.throughput import format_load_reports, run_load
 from repro.workloads import build_dataset
 from repro.workloads.queries import RangeQueryWorkload
@@ -51,8 +51,8 @@ def _median_runtime(run, repetitions=REPETITIONS):
 
 
 def test_query_many_beats_sequential_loop_by_1_5x(dataset, bounds):
-    sequential_system = SAESystem(dataset).setup()
-    batched_system = SAESystem(dataset).setup()
+    sequential_system = SaeScheme(dataset).setup()
+    batched_system = SaeScheme(dataset).setup()
 
     sequential = [sequential_system.query(low, high) for low, high in bounds]
     batched = batched_system.query_many(bounds)
@@ -93,7 +93,7 @@ def test_load_driver_closed_loop(dataset, bounds):
     """The multi-client driver serves the whole mix, verified, in both modes."""
     reports = []
     for mode in ("per-query", "batched"):
-        system = SAESystem(dataset).setup()
+        system = SaeScheme(dataset).setup()
         with system:
             reports.append(
                 run_load(system, bounds, num_clients=4, mode=mode, batch_size=25)
@@ -108,13 +108,13 @@ def test_load_driver_closed_loop(dataset, bounds):
 
 def test_query_benchmark_sequential(benchmark, dataset, bounds):
     """pytest-benchmark timing of the per-query loop (for the bench trajectory)."""
-    system = SAESystem(dataset).setup()
+    system = SaeScheme(dataset).setup()
     sample = bounds[:50]
     benchmark(lambda: [system.query(low, high) for low, high in sample])
 
 
 def test_query_benchmark_batched(benchmark, dataset, bounds):
     """pytest-benchmark timing of query_many on the same slice."""
-    system = SAESystem(dataset).setup()
+    system = SaeScheme(dataset).setup()
     sample = bounds[:50]
     benchmark(lambda: system.query_many(sample))

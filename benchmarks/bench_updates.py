@@ -12,8 +12,8 @@ import itertools
 
 import pytest
 
-from repro.core import SAESystem, UpdateBatch
-from repro.tom import TomSystem
+from repro.core import SaeScheme, UpdateBatch
+from repro.tom import TomScheme
 from repro.workloads import build_dataset
 
 N_RECORDS = 4_000
@@ -24,8 +24,8 @@ BATCH_SIZE = 25
 def systems():
     dataset_sae = build_dataset(N_RECORDS, record_size=200, seed=51)
     dataset_tom = build_dataset(N_RECORDS, record_size=200, seed=51)
-    sae = SAESystem(dataset_sae).setup()
-    tom = TomSystem(dataset_tom, key_bits=1024, seed=51).setup()
+    sae = SaeScheme(dataset_sae).setup()
+    tom = TomScheme(dataset_tom, key_bits=1024, seed=51).setup()
     return sae, tom
 
 

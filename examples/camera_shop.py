@@ -16,7 +16,7 @@ Run with::
     python examples/camera_shop.py
 """
 
-from repro.core import Dataset, InjectAttack, SAESystem, UpdateBatch
+from repro.core import Dataset, InjectAttack, SaeScheme, UpdateBatch
 from repro.workloads import CAMERA_SCHEMA, make_camera_records
 
 
@@ -29,7 +29,7 @@ def main() -> None:
 
     # The SP runs an off-the-shelf DBMS (sqlite3); SAE needs nothing special
     # from it because authentication lives entirely at the TE.
-    shop = SAESystem(catalogue, backend="sqlite").setup()
+    shop = SaeScheme(catalogue, backend="sqlite").setup()
 
     # "Select all cameras from R whose price is between 200 and 300 euros."
     outcome = shop.query(200, 300)

@@ -19,8 +19,8 @@ Run with::
 import random
 import time
 
-from repro.core import SAESystem, UpdateBatch
-from repro.tom import TomSystem
+from repro.core import SaeScheme, UpdateBatch
+from repro.tom import TomScheme
 from repro.workloads import skewed_dataset
 
 BATCHES = 10
@@ -52,8 +52,8 @@ def main() -> None:
     dataset_sae = skewed_dataset(3_000, seed=23)
     dataset_tom = skewed_dataset(3_000, seed=23)
 
-    sae = SAESystem(dataset_sae).setup()
-    tom = TomSystem(dataset_tom, key_bits=512, seed=23).setup()
+    sae = SaeScheme(dataset_sae).setup()
+    tom = TomScheme(dataset_tom, key_bits=512, seed=23).setup()
 
     rng = random.Random(99)
     next_id = 10_000_000

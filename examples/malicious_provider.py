@@ -19,9 +19,9 @@ from repro.core import (
     InjectAttack,
     ModifyAttack,
     NoAttack,
-    SAESystem,
+    SaeScheme,
 )
-from repro.tom import TomSystem
+from repro.tom import TomScheme
 from repro.workloads import uniform_dataset
 
 QUERY_LOW, QUERY_HIGH = 4_000_000, 4_080_000
@@ -43,8 +43,8 @@ def attack_gallery():
 
 def main() -> None:
     dataset = uniform_dataset(4_000, seed=17)
-    sae = SAESystem(dataset).setup()
-    tom = TomSystem(dataset, key_bits=512, seed=17).setup()
+    sae = SaeScheme(dataset).setup()
+    tom = TomScheme(dataset, key_bits=512, seed=17).setup()
 
     header = f"{'attack':<28} {'SAE verdict':<14} {'TOM verdict':<14} {'|RS_SP|':>8}"
     print(header)

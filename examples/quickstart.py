@@ -14,7 +14,7 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro.core import DropAttack, SAESystem
+from repro.core import DropAttack, SaeScheme
 from repro.workloads import uniform_dataset
 
 
@@ -27,7 +27,7 @@ def main() -> None:
     # 2. Outsourcing: the DO ships the relation to the SP and the TE.  The SP
     #    stores it in a conventional DBMS (heap file + B+-tree); the TE keeps
     #    only <id, key, digest> tuples in an XB-tree.
-    system = SAESystem(dataset).setup()
+    system = SaeScheme(dataset).setup()
     storage = system.storage_report()
     print(f"SP stores {storage['sp_bytes'] / 1e6:.1f} MB, "
           f"TE stores {storage['te_bytes'] / 1e6:.1f} MB "

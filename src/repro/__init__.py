@@ -20,19 +20,19 @@ regenerates every figure of the paper (:mod:`repro.experiments`).
 
 Quickstart::
 
-    from repro.core import SAESystem
+    from repro.core import SaeScheme
     from repro.workloads import uniform_dataset
 
     dataset = uniform_dataset(10_000)
-    system = SAESystem(dataset).setup()
+    system = SaeScheme(dataset).setup()
     outcome = system.query(1_000_000, 1_050_000)
     assert outcome.verified
 """
 
 __version__ = "1.0.0"
 
-from repro.core import OutsourcedDB, SaeScheme, SAESystem, available_schemes
-from repro.tom import TomScheme, TomSystem
+from repro.core import OutsourcedDB, SaeScheme, available_schemes
+from repro.tom import TomScheme
 from repro.workloads import uniform_dataset, skewed_dataset, build_dataset
 
 __all__ = [
@@ -40,9 +40,7 @@ __all__ = [
     "OutsourcedDB",
     "available_schemes",
     "SaeScheme",
-    "SAESystem",
     "TomScheme",
-    "TomSystem",
     "uniform_dataset",
     "skewed_dataset",
     "build_dataset",

@@ -14,7 +14,7 @@ The package wires the four parties of Figure 2 together:
 * :class:`~repro.core.client.Client` XORs the digests of the records it
   received from the SP and accepts iff the result equals the TE's token.
 
-:class:`~repro.core.protocol.SAESystem` is the convenience façade used by
+:class:`~repro.core.protocol.SaeScheme` is the convenience façade used by
 the examples and the experiment harness.
 """
 
@@ -60,7 +60,7 @@ from repro.core.scheme import (
     restore_deployment,
     scheme_class,
 )
-from repro.core.protocol import SaeScheme, SAESystem, QueryOutcome
+from repro.core.protocol import SaeScheme, QueryOutcome
 
 __all__ = [
     "AuthScheme",
@@ -109,6 +109,5 @@ __all__ = [
     "DeleteRecord",
     "ModifyRecord",
     "UpdateBatch",
-    "SAESystem",
     "QueryOutcome",
 ]

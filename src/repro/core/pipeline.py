@@ -1,9 +1,8 @@
 """Per-request accounting for the SAE query pipeline.
 
-The original entities reported costs through mutable ``last_query_*`` /
-``last_vt_*`` fields, which made every party non-reentrant: two in-flight
-queries would overwrite each other's numbers.  This module inverts the flow
--- *each request carries its own accounting and returns a receipt*:
+No party keeps "the cost of the most recent query" as mutable state -- two
+in-flight queries would overwrite each other's numbers.  Instead *each
+request carries its own accounting and returns a receipt*:
 
 * :class:`CostReceipt` -- the immutable cost of one party's work on one
   request (node accesses, measured CPU ms, simulated I/O ms);
@@ -23,7 +22,6 @@ underneath for whole-run reporting.
 from __future__ import annotations
 
 import threading
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Tuple, TYPE_CHECKING
@@ -71,7 +69,7 @@ class CostReceipt:
         return self.io_cost_ms + self.cpu_ms
 
     def cost_ms(self, include_cpu: bool = False) -> float:
-        """The reported cost (matches the legacy ``last_*_cost_ms`` shape)."""
+        """Simulated I/O cost, plus measured CPU time with ``include_cpu``."""
         return self.total_ms if include_cpu else self.io_cost_ms
 
     def __add__(self, other: "CostReceipt") -> "CostReceipt":
@@ -294,12 +292,3 @@ class ReadWriteLock:
                 self._writer_active = False
                 self._cond.notify_all()
 
-
-def deprecated_accessor(name: str, replacement: str) -> None:
-    """Emit the deprecation warning for a legacy ``last_*`` accessor."""
-    warnings.warn(
-        f"{name} reads back mutable per-entity state and is not safe under "
-        f"concurrent queries; use {replacement} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )

@@ -16,7 +16,7 @@ from typing import List, Optional
 
 from repro.core.attacks import AttackModel, NoAttack
 from repro.core.dataset import Dataset
-from repro.core.pipeline import CostReceipt, ExecutionContext, ZERO_RECEIPT, deprecated_accessor
+from repro.core.pipeline import CostReceipt, ExecutionContext, ZERO_RECEIPT
 from repro.core.sharding import AttackableFleet
 from repro.core.updates import DeleteRecord, InsertRecord, ModifyRecord, UpdateBatch
 from repro.crypto.encoding import decode_record, encode_record
@@ -71,7 +71,6 @@ class ServiceProvider:
         self._table: Optional[Table] = None
         self._sqlite: Optional[SQLiteTable] = None
         self._dataset_schema = None
-        self._last_receipt: CostReceipt = ZERO_RECEIPT
         self._epoch_stamp = None
 
     # ------------------------------------------------------------------ configuration
@@ -206,7 +205,6 @@ class ServiceProvider:
         )
         if ctx is not None:
             ctx.sp = receipt
-        self._last_receipt = receipt  # feeds the deprecated last_* shims only
         if self.is_honest:
             return payloads
         corrupted = self._attack.apply([decode_record(p) for p in payloads], query)
@@ -224,26 +222,6 @@ class ServiceProvider:
         with self._counter.scoped() as tally:
             store.range_query(query, fetch_records=False)
         return tally.node_accesses
-
-    def last_query_accesses(self) -> int:
-        """Node accesses charged by the most recent query (heap backend only).
-
-        .. deprecated:: reads back shared mutable state; consume the
-           :class:`CostReceipt` from ``execute(query, ctx)`` instead.
-        """
-        deprecated_accessor("ServiceProvider.last_query_accesses()",
-                            "the CostReceipt on ExecutionContext.sp")
-        return self._last_receipt.node_accesses
-
-    def last_query_cost_ms(self, include_cpu: bool = False) -> float:
-        """Simulated cost of the most recent query in milliseconds.
-
-        .. deprecated:: reads back shared mutable state; consume the
-           :class:`CostReceipt` from ``execute(query, ctx)`` instead.
-        """
-        deprecated_accessor("ServiceProvider.last_query_cost_ms()",
-                            "the CostReceipt on ExecutionContext.sp")
-        return self._last_receipt.cost_ms(include_cpu=include_cpu)
 
     # ------------------------------------------------------------------ persistence
     def flush_storage(self) -> None:
@@ -318,9 +296,9 @@ class ShardedServiceProvider(AttackableFleet):
     file + B+-tree, or sqlite table).  ``execute`` scatters a range query to
     the overlapping shards only and gathers the partial results in key
     order; the per-query cost receipt is the *sum* of the shard legs, so the
-    paper's accounting is unchanged by the deployment shape.  The protocol
-    facade calls :meth:`execute_shard` directly to run the legs in parallel
-    on its thread pool.
+    paper's accounting is unchanged by the deployment shape.  The scheme
+    facade runs every shard's ``execute`` itself, in parallel on its thread
+    pool.
     """
 
     not_ready_error = ProviderError
@@ -375,16 +353,6 @@ class ShardedServiceProvider(AttackableFleet):
         """Ids of the shards whose key ranges overlap ``query``."""
         return self.router.shards_for_range(query.low, query.high)
 
-    def execute_shard(
-        self,
-        shard_id: int,
-        query: RangeQuery,
-        ctx: Optional[ExecutionContext] = None,
-        record_cache: Optional[dict] = None,
-    ) -> List[bytes]:
-        """One shard leg of a scattered query (receipt lands on ``ctx.sp``)."""
-        return self._shards[shard_id].execute(query, ctx, record_cache=record_cache)
-
     def execute(
         self,
         query: RangeQuery,
@@ -407,7 +375,7 @@ class ShardedServiceProvider(AttackableFleet):
                 record_cache.setdefault(shard_id, {}) if record_cache is not None else None
             )
             merged.extend(
-                self.execute_shard(shard_id, query, leg_ctx, record_cache=shard_cache)
+                self._shards[shard_id].execute(query, leg_ctx, record_cache=shard_cache)
             )
             total = total + (leg_ctx.sp or ZERO_RECEIPT)
         if ctx is not None:

@@ -13,7 +13,7 @@ import time
 from typing import Any, Iterable, List, Optional, Sequence
 
 from repro.core.dataset import Dataset
-from repro.core.pipeline import CostReceipt, ExecutionContext, ZERO_RECEIPT, deprecated_accessor
+from repro.core.pipeline import CostReceipt, ExecutionContext, ZERO_RECEIPT
 from repro.core.sharding import ShardedFleet
 from repro.core.tuples import TETuple, digest_record, make_te_tuples
 from repro.core.updates import DeleteRecord, InsertRecord, ModifyRecord, UpdateBatch
@@ -91,7 +91,6 @@ class TrustedEntity:
         self._xbtree: Optional[XBTree] = None
         self._tuples_by_id: dict = {}
         self._ready = False
-        self._last_receipt: CostReceipt = ZERO_RECEIPT
 
     # ------------------------------------------------------------------ meta
     @property
@@ -220,7 +219,6 @@ class TrustedEntity:
         receipt = self._make_receipt(tally.node_accesses, cpu_ms, pool, memo)
         if ctx is not None:
             ctx.te = receipt
-        self._last_receipt = receipt  # feeds the deprecated last_* shims only
         return token
 
     def generate_vt_batch(
@@ -280,7 +278,6 @@ class TrustedEntity:
             )
             if contexts is not None and contexts[position] is not None:
                 contexts[position].te = receipt
-            self._last_receipt = receipt
         return tokens
 
     def _make_receipt(
@@ -313,26 +310,6 @@ class TrustedEntity:
             if query.low <= te_tuple.key <= query.high:
                 token = token ^ te_tuple.digest
         return token
-
-    def last_vt_accesses(self) -> int:
-        """Node accesses charged by the most recent token generation.
-
-        .. deprecated:: reads back shared mutable state; consume the
-           :class:`CostReceipt` from ``generate_vt(query, ctx)`` instead.
-        """
-        deprecated_accessor("TrustedEntity.last_vt_accesses()",
-                            "the CostReceipt on ExecutionContext.te")
-        return self._last_receipt.node_accesses
-
-    def last_vt_cost_ms(self, include_cpu: bool = False) -> float:
-        """Simulated cost of the most recent token generation in milliseconds.
-
-        .. deprecated:: reads back shared mutable state; consume the
-           :class:`CostReceipt` from ``generate_vt(query, ctx)`` instead.
-        """
-        deprecated_accessor("TrustedEntity.last_vt_cost_ms()",
-                            "the CostReceipt on ExecutionContext.te")
-        return self._last_receipt.cost_ms(include_cpu=include_cpu)
 
     # ------------------------------------------------------------------ persistence
     def flush_storage(self) -> None:
@@ -463,15 +440,6 @@ class ShardedTrustedEntity(ShardedFleet):
         """Ids of the slices whose key ranges overlap ``query``."""
         return self.router.shards_for_range(query.low, query.high)
 
-    def generate_vt_shard(
-        self,
-        shard_id: int,
-        query: RangeQuery,
-        ctx: Optional[ExecutionContext] = None,
-    ) -> Digest:
-        """One shard leg of a scattered token generation."""
-        return self._shards[shard_id].generate_vt(query, ctx)
-
     def generate_vt(self, query: RangeQuery, ctx: Optional[ExecutionContext] = None) -> Digest:
         """Merged token for ``query``: XOR of the overlapping shard legs.
 
@@ -482,7 +450,7 @@ class ShardedTrustedEntity(ShardedFleet):
         total = ZERO_RECEIPT
         for shard_id in self.shards_for(query):
             leg_ctx = ExecutionContext(query=query)
-            token = token ^ self.generate_vt_shard(shard_id, query, leg_ctx)
+            token = token ^ self._shards[shard_id].generate_vt(query, leg_ctx)
             total = total + (leg_ctx.te or ZERO_RECEIPT)
         if ctx is not None:
             ctx.te = total

@@ -17,7 +17,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.pipeline import ExecutionContext
-from repro.core.protocol import SAESystem
+from repro.core.protocol import SaeScheme
 from repro.core.trusted_entity import TrustedEntity
 from repro.crypto.digest import get_scheme
 from repro.experiments.config import ExperimentConfig

@@ -22,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.core.protocol import SAESystem
+from repro.core.protocol import SaeScheme
 from repro.crypto.digest import get_scheme
 from repro.experiments.config import ExperimentConfig
-from repro.tom.scheme import TomSystem
+from repro.tom.scheme import TomScheme
 from repro.workloads.datasets import build_dataset
 from repro.workloads.queries import RangeQueryWorkload
 
@@ -95,15 +95,15 @@ def measure_point(config: ExperimentConfig, distribution: str, cardinality: int,
         attribute=dataset.schema.key_column,
     )
 
-    sae = SAESystem(
+    sae = SaeScheme(
         dataset,
         scheme=scheme,
         page_size=config.page_size,
         node_access_ms=config.node_access_ms,
     ).setup()
-    tom: Optional[TomSystem] = None
+    tom: Optional[TomScheme] = None
     if config.include_tom:
-        tom = TomSystem(
+        tom = TomScheme(
             dataset,
             scheme=scheme,
             page_size=config.page_size,

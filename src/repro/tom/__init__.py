@@ -21,7 +21,7 @@ This package implements the complete baseline:
 * :mod:`repro.tom.scheme` -- :class:`~repro.tom.scheme.TomScheme`, the
   deployment facade implementing the unified
   :class:`~repro.core.scheme.AuthScheme` interface (registered as
-  ``"tom"``); ``TomSystem`` is kept as a compatibility alias.
+  ``"tom"``).
 """
 
 from repro.tom.mbtree import MBTree, MBTreeLayout
@@ -40,7 +40,7 @@ from repro.tom.entities import (
     TomDataOwner,
     TomServiceProvider,
 )
-from repro.tom.scheme import TomQueryOutcome, TomScheme, TomSystem, skipped_report
+from repro.tom.scheme import TomQueryOutcome, TomScheme, skipped_report
 
 __all__ = [
     "serialize_vo",
@@ -60,6 +60,5 @@ __all__ = [
     "TomClient",
     "TomQueryOutcome",
     "TomScheme",
-    "TomSystem",
     "skipped_report",
 ]

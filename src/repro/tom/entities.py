@@ -21,7 +21,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 from repro.core.attacks import AttackModel, NoAttack
 from repro.core.dataset import Dataset
 from repro.core.epoch import EpochAuthority, EpochStamp, classify_epoch
-from repro.core.pipeline import CostReceipt, ExecutionContext, ZERO_RECEIPT, deprecated_accessor
+from repro.core.pipeline import CostReceipt, ExecutionContext
 from repro.core.sharding import AttackableFleet, partition_dataset
 from repro.core.tuples import digest_record
 from repro.core.updates import DeleteRecord, InsertRecord, ModifyRecord, UpdateBatch
@@ -204,7 +204,6 @@ class TomServiceProvider:
         self._records_by_rid = {}
         self._table: Optional[Table] = None
         self._ads: Optional[MBTree] = None
-        self._last_receipt: CostReceipt = ZERO_RECEIPT
         self._epoch_stamp: Optional[EpochStamp] = None
 
     # ------------------------------------------------------------------ configuration
@@ -345,7 +344,6 @@ class TomServiceProvider:
         receipt = self._make_receipt(tally.node_accesses, cpu_ms, pool, memo)
         if ctx is not None:
             ctx.sp = receipt
-        self._last_receipt = receipt  # feeds the deprecated last_* shims only
         return self._attack.apply(records, query), vo
 
     def query_only(self, query: RangeQuery) -> List[Tuple[Any, ...]]:
@@ -356,13 +354,8 @@ class TomServiceProvider:
         """
         if self._table is None or self._ads is None:
             raise TomError("the service provider has not received a dataset yet")
-        with self._counter.scoped() as tally:
-            started = time.perf_counter()
-            matches = self._ads.range_search(query.low, query.high)
-            records = [self._table.get(record_id, charge=True) for _, record_id in matches]
-            cpu_ms = (time.perf_counter() - started) * 1000.0
-        self._last_receipt = self._make_receipt(tally.node_accesses, cpu_ms)
-        return records
+        matches = self._ads.range_search(query.low, query.high)
+        return [self._table.get(record_id, charge=True) for _, record_id in matches]
 
     def index_only_accesses(self, query: RangeQuery) -> int:
         """Node accesses of the MB-tree traversal and leaf scan alone."""
@@ -389,26 +382,6 @@ class TomServiceProvider:
             memo_hits=memo.hits,
             memo_misses=memo.misses,
         )
-
-    def last_query_accesses(self) -> int:
-        """Node accesses charged by the most recent query.
-
-        .. deprecated:: reads back shared mutable state; consume the
-           :class:`CostReceipt` from ``execute(query, ctx)`` instead.
-        """
-        deprecated_accessor("TomServiceProvider.last_query_accesses()",
-                            "the CostReceipt on ExecutionContext.sp")
-        return self._last_receipt.node_accesses
-
-    def last_query_cost_ms(self, include_cpu: bool = False) -> float:
-        """Simulated cost of the most recent query in milliseconds.
-
-        .. deprecated:: reads back shared mutable state; consume the
-           :class:`CostReceipt` from ``execute(query, ctx)`` instead.
-        """
-        deprecated_accessor("TomServiceProvider.last_query_cost_ms()",
-                            "the CostReceipt on ExecutionContext.sp")
-        return self._last_receipt.cost_ms(include_cpu=include_cpu)
 
     # ------------------------------------------------------------------ persistence
     def flush_storage(self) -> None:
@@ -549,6 +522,11 @@ class ShardedTomServiceProvider(AttackableFleet):
     client verifies every leg against its shard signature, which pinpoints
     a tampering shard while the honest legs still verify.  Receipts merged
     onto a context are the sums of the shard legs.
+
+    There is deliberately no merged ``execute`` on the fleet: each leg
+    carries its own VO and shard signature, so the legs cannot collapse into
+    the single-provider ``(records, vo)`` shape -- the scheme facade drives
+    every shard's ``execute`` individually.
     """
 
     not_ready_error = TomError
@@ -605,18 +583,6 @@ class ShardedTomServiceProvider(AttackableFleet):
     def shards_for(self, query: RangeQuery) -> List[int]:
         """Ids of the shards whose key ranges overlap ``query``."""
         return self.router.shards_for_range(query.low, query.high)
-
-    def execute_shard(
-        self, shard_id: int, query: RangeQuery, ctx: Optional[ExecutionContext] = None
-    ) -> Tuple[List[Tuple[Any, ...]], VerificationObject]:
-        """One shard leg of a scattered query (receipt lands on ``ctx.sp``).
-
-        There is deliberately no merged ``execute`` on the fleet: each leg
-        carries its own VO and shard signature, so the legs cannot collapse
-        into the single-provider ``(records, vo)`` shape -- the scheme
-        facade always drives the legs individually.
-        """
-        return self._shards[shard_id].execute(query, ctx)
 
     def index_only_accesses(self, query: RangeQuery) -> int:
         """Summed MB-tree traversal accesses of the overlapping shard legs."""

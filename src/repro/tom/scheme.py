@@ -1,28 +1,24 @@
 """The TOM deployment facade, behind the unified scheme interface.
 
-:class:`TomScheme` (registered as ``"tom"``; ``TomSystem`` remains as a
-compatibility alias) gives the paper's baseline the same modern pipeline the
-SAE side has had since the re-entrancy and sharding refactors:
+:class:`TomScheme` (registered as ``"tom"``) runs the paper's baseline on the
+same :class:`~repro.core.scheme.AuthScheme` lifecycle as SAE -- per-request
+:class:`~repro.core.pipeline.ExecutionContext` accounting into immutable
+:class:`~repro.core.pipeline.QueryReceipt` objects (VO bytes, node accesses,
+simulated I/O ms and measured CPU ms on the same
+:class:`~repro.core.pipeline.CostReceipt` axes as SAE), update batches that
+are atomic with respect to in-flight queries (including the per-shard root
+re-signing), batched dispatch, sharding, replicas and snapshots.  What is
+TOM's own is the proof:
 
-* every request threads its own
-  :class:`~repro.core.pipeline.ExecutionContext` through the provider and
-  the byte-counting channels and yields an immutable
-  :class:`~repro.core.pipeline.QueryReceipt` (VO bytes, node accesses,
-  simulated I/O ms and measured CPU ms on the same
-  :class:`~repro.core.pipeline.CostReceipt` axes as SAE), so any number of
-  queries may be in flight concurrently;
-* update batches are applied under the exclusive side of a
-  :class:`~repro.core.pipeline.ReadWriteLock`, atomically with respect to
-  in-flight queries (including the per-shard root re-signing);
-* :meth:`TomScheme.query_many` chunks the SP legs of a batch across the
-  dispatch thread pool, mirroring :meth:`SaeScheme.query_many`;
-* ``shards=N`` range-partitions the relation with the same deterministic
-  :class:`~repro.core.sharding.ShardRouter` SAE uses: every shard keeps its
-  own MB-tree whose root the DO signs individually, a range query scatters
-  to the overlapping shards as parallel pool legs, every leg's (result, VO)
-  pair is verified against its shard signature -- pinpointing a tampering
-  shard while the honest legs still verify -- and the merged receipt equals
-  the **sum of the shard legs** (:meth:`QueryReceipt.matches_leg_sums`).
+* the SP answers with the result records plus a verification object built
+  from its MB-tree, sized through a cross-query record memo;
+* under ``shards=N`` every shard keeps its own MB-tree whose root the DO
+  signs individually, and every leg's (result, VO) pair is verified against
+  its shard signature -- pinpointing a tampering shard while the honest
+  legs still verify -- while the merged receipt equals the **sum of the
+  shard legs** (:meth:`QueryReceipt.matches_leg_sums`);
+* warm standbys adopt the primary's root signatures, and every update batch
+  starts a new root-verification epoch.
 
 A reversed range (``low > high``) is answered locally with an empty
 verified result and a zero-cost receipt, identically to SAE.
@@ -35,36 +31,14 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.attacks import AttackModel
 from repro.core.dataset import Dataset
-from repro.core.design import (
-    DesignError,
-    PhysicalDesign,
-    design_from_snapshot_params,
-    resolve_design,
-)
-from repro.core.pipeline import (
-    CostReceipt,
-    ExecutionContext,
-    QueryReceipt,
-    ReadWriteLock,
-    ShardLegReceipt,
-    ZERO_RECEIPT,
-)
-from repro.core.scheme import (
-    AuthScheme,
-    SchemeError,
-    is_reversed_range,
-    load_snapshot_state,
-    register_scheme,
-    write_snapshot_state,
-)
-from repro.core.replication import ReplicaDownError, ReplicaRouter
+from repro.core.design import PhysicalDesign
+from repro.core.pipeline import CostReceipt, ExecutionContext, QueryReceipt, ZERO_RECEIPT
+from repro.core.scheme import AuthScheme, register_scheme
 from repro.core.sharding import ShardedDeployment
-from repro.core.updates import UpdateBatch
-from repro.crypto.digest import DigestScheme, RecordMemo, default_scheme, get_scheme
+from repro.crypto.digest import DigestScheme, RecordMemo
 from repro.crypto.signatures import CachedVerifier
 from repro.dbms.query import RangeQuery
-from repro.network.channel import NetworkTracker
-from repro.network.messages import QueryRequest, ResultResponse, VOResponse
+from repro.network.messages import ResultResponse, VOResponse
 from repro.storage.node_store import StorageConfig
 from repro.tom.entities import (
     ShardedTomServiceProvider,
@@ -135,10 +109,41 @@ class TomQueryOutcome:
         """Always 0.0: TOM has no trusted entity."""
         return 0.0
 
+    @classmethod
+    def of(
+        cls,
+        receipt: QueryReceipt,
+        records: List[Tuple[Any, ...]],
+        report: VerificationReport,
+        vo: Optional[VerificationObject],
+        details: Optional[dict] = None,
+    ) -> "TomQueryOutcome":
+        """The outcome of a receipt and a verdict; the flat cost fields
+        mirror the receipt."""
+        return cls(
+            query=receipt.query,
+            records=records,
+            report=report,
+            sp_accesses=receipt.sp.node_accesses,
+            sp_cost_ms=receipt.sp.io_cost_ms,
+            auth_bytes=receipt.auth_bytes,
+            result_bytes=receipt.result_bytes,
+            client_cpu_ms=receipt.client_cpu_ms,
+            vo=vo,
+            details=details or {},
+            receipt=receipt,
+        )
+
 
 @register_scheme
 class TomScheme(AuthScheme):
-    """A complete TOM deployment (DO + SP fleet + client)."""
+    """A complete TOM deployment (DO + SP fleet + client).
+
+    The :class:`~repro.core.scheme.AuthScheme` template runs the lifecycle;
+    this class supplies TOM's proof: the SP answers with the records plus a
+    VO from its MB-tree, and the client checks the VO against the owner's
+    root signature.
+    """
 
     scheme_name = "tom"
 
@@ -163,90 +168,44 @@ class TomScheme(AuthScheme):
         start_epoch: int = 0,
         design: Optional[PhysicalDesign] = None,
     ):
-        # ``design`` is the one descriptor of the physical layout; the raw
-        # shards/replicas/pool_pages/page_size keywords are deprecation
-        # shims resolved (and contradiction-checked) against it.
-        try:
-            self._design = resolve_design(
-                design,
-                shards=shards,
-                replicas=replicas,
-                pool_pages=pool_pages,
-                page_size=page_size,
-            )
-        except DesignError as exc:
-            raise SchemeError(str(exc)) from exc
-        page_size = self._design.page_size
-        self._scheme = scheme or default_scheme()
-        self._network = NetworkTracker()
-        self._dataset = dataset
-        self._deployment = self._design.deployment()
-        self._storage = StorageConfig.coerce(
-            storage, data_dir, self._design.pool_pages
+        self._init_deployment(
+            dataset,
+            scheme=scheme,
+            design=design,
+            shards=shards,
+            replicas=replicas,
+            pool_pages=pool_pages,
+            page_size=page_size,
+            storage=storage,
+            data_dir=data_dir,
+            node_access_ms=node_access_ms,
+            index_fill_factor=index_fill_factor,
+            max_workers=max_workers,
         )
-        self._page_size = page_size
-        self._node_access_ms = node_access_ms
-        self._index_fill_factor = index_fill_factor
-        # A replicated-but-unsharded deployment still runs fleets (of one
-        # shard each) so the failover bookkeeping rides on leg receipts.
-        self._uses_fleet = (
-            self._deployment.is_sharded or self._deployment.is_replicated
+        self._build_providers(
+            TomServiceProvider,
+            ShardedTomServiceProvider,
+            attack,
+            scheme=self._scheme,
+            page_size=self._page_size,
+            node_access_ms=node_access_ms,
+            index_fill_factor=index_fill_factor,
+            storage=self._storage,
         )
-        self._replica_router: Optional[ReplicaRouter] = None
-        self._sp_replicas: List[ShardedTomServiceProvider] = []
-        if self._uses_fleet:
-            cut_points = self._deployment.cut_points
-            self.provider: Union[TomServiceProvider, ShardedTomServiceProvider] = (
-                ShardedTomServiceProvider(
-                    self._deployment.num_shards,
-                    scheme=self._scheme,
-                    page_size=page_size,
-                    node_access_ms=node_access_ms,
-                    attack=attack,
-                    index_fill_factor=index_fill_factor,
-                    storage=self._storage,
-                    cut_points=cut_points,
-                )
-            )
-            self._sp_replicas = [self.provider]
-            for replica in range(1, self._deployment.num_replicas):
-                self._sp_replicas.append(
-                    ShardedTomServiceProvider(
-                        self._deployment.num_shards,
-                        scheme=self._scheme,
-                        page_size=page_size,
-                        node_access_ms=node_access_ms,
-                        attack=None,
-                        index_fill_factor=index_fill_factor,
-                        storage=self._storage,
-                        component_prefix=f"tom-r{replica}-sp",
-                        cut_points=cut_points,
-                    )
-                )
-            self._replica_router = ReplicaRouter(
-                self._deployment.num_shards, self._deployment.num_replicas
-            )
-        else:
-            self.provider = TomServiceProvider(
-                scheme=self._scheme,
-                page_size=page_size,
-                node_access_ms=node_access_ms,
-                attack=attack,
-                index_fill_factor=index_fill_factor,
-                storage=self._storage,
-            )
         # ``signer``/``verifier`` inject pre-existing key material (the
         # snapshot-restore path); otherwise a pair is derived from
         # ``key_bits``/``seed``.
-        self.owner = TomDataOwner(
-            dataset,
-            scheme=self._scheme,
-            signer=signer,
-            verifier=verifier,
-            key_bits=key_bits,
-            seed=seed,
-            network=self._network,
-            start_epoch=start_epoch,
+        self._adopt_owner(
+            TomDataOwner(
+                dataset,
+                scheme=self._scheme,
+                signer=signer,
+                verifier=verifier,
+                key_bits=key_bits,
+                seed=seed,
+                network=self._network,
+                start_epoch=start_epoch,
+            )
         )
         # Cross-query memo over record encodings and digests, shared between
         # the SP legs (payload sizing) and the client's VO reconstruction.
@@ -259,56 +218,15 @@ class TomScheme(AuthScheme):
         self._root_verifier = CachedVerifier(
             self.owner.verifier, capacity=self._design.verifier_cache
         )
-        # Epoch stamps repeat across queries; unlike root signatures they
-        # stay valid across update batches (an old stamp is still validly
-        # signed -- just stale), so this cache is never invalidated.
-        self._epoch_verifier = CachedVerifier(
-            self.owner.epoch_verifier, capacity=self._design.verifier_cache
-        )
         self.client = TomClient(
             verifier=self._root_verifier,
             key_index=dataset.schema.key_index,
             scheme=self._scheme,
             memo=self._record_memo,
         )
-        self._ready = False
-        self._init_dispatch(max_workers)
-        # Queries hold this shared; update batches (and the root re-signing
-        # they trigger) hold it exclusive.
-        self._state_lock = ReadWriteLock()
 
-    # ------------------------------------------------------------------ lifecycle
-    def setup(self) -> "TomScheme":
-        """Run the outsourcing phase (build ADS, sign root(s), ship everything).
-
-        Warm standbys receive the same dataset (the ADS build is
-        deterministic, so every replica's MB-tree roots equal the primary's)
-        plus copies of the primary's root signatures and the owner's current
-        epoch stamp -- the in-process equivalent of snapshot shipping.
-        """
-        with self._state_lock.write_locked():
-            self.owner.outsource(self.provider)
-            for standby in self._sp_replicas[1:]:
-                standby.receive_dataset(self._dataset)
-                self._copy_slice_signatures(standby)
-                standby.receive_epoch_stamp(self.owner.epoch_stamp)
-            self._ready = True
-        return self
-
-    def _copy_slice_signatures(
-        self, standby: ShardedTomServiceProvider, shard_ids: Optional[Sequence[int]] = None
-    ) -> None:
-        """Adopt the primary's root signatures on a standby's identical slices."""
-        primary_slices = self.provider.ads_slices()
-        standby_slices = standby.ads_slices()
-        targets = range(len(primary_slices)) if shard_ids is None else shard_ids
-        for shard_id in targets:
-            standby_slices[shard_id].signature = primary_slices[shard_id].signature
-
-    @property
-    def network(self) -> NetworkTracker:
-        """The byte-accounting network tracker."""
-        return self._network
+    def _parties(self) -> Dict[str, Any]:
+        return {"sp": self.provider}
 
     @property
     def record_memo(self) -> RecordMemo:
@@ -320,126 +238,28 @@ class TomScheme(AuthScheme):
         """The client's per-epoch cached root-signature verifier."""
         return self._root_verifier
 
-    @property
-    def dataset(self) -> Dataset:
-        """The data owner's authoritative dataset."""
-        return self._dataset
+    # ------------------------------------------------------------------ standbys
+    def _sync_standby(
+        self, standby: ShardedTomServiceProvider, shard_ids: Optional[Sequence[int]]
+    ) -> None:
+        """Adopt the primary's root signatures on a standby's identical slices."""
+        primary_slices = self.provider.ads_slices()
+        standby_slices = standby.ads_slices()
+        targets = range(len(primary_slices)) if shard_ids is None else shard_ids
+        for shard_id in targets:
+            standby_slices[shard_id].signature = primary_slices[shard_id].signature
 
-    @property
-    def num_shards(self) -> int:
-        """Number of SP shards in this deployment (1 = unsharded)."""
-        return self._deployment.num_shards
-
-    @property
-    def num_replicas(self) -> int:
-        """SP replicas per shard (1 = unreplicated)."""
-        return self._deployment.num_replicas
-
-    @property
-    def current_epoch(self) -> int:
-        """The owner's current signed update epoch."""
-        return self.owner.epoch
-
-    def sp_replica(self, replica: int) -> ShardedTomServiceProvider:
-        """The SP fleet serving as replica ``replica`` (0 = primary)."""
-        if not self._sp_replicas:
-            raise SchemeError("this deployment does not run an SP fleet")
-        return self._sp_replicas[replica]
-
-    def kill_replica(self, replica: int, shard_id: Optional[int] = None) -> None:
-        """Take a replica out of service (all shards, or one shard's copy)."""
-        self._require_replication()
-        for shard in self._router_shards(shard_id):
-            self._replica_router.kill(shard, replica)
-
-    def revive_replica(self, replica: int, shard_id: Optional[int] = None) -> None:
-        """Return a killed replica to service."""
-        self._require_replication()
-        for shard in self._router_shards(shard_id):
-            self._replica_router.revive(shard, replica)
-
-    def _require_replication(self) -> None:
-        if self._replica_router is None or self._deployment.num_replicas < 2:
-            raise SchemeError(
-                "kill/revive need a replicated deployment (replicas >= 2)"
-            )
-
-    def _router_shards(self, shard_id: Optional[int]) -> Sequence[int]:
-        return range(self.num_shards) if shard_id is None else (shard_id,)
-
-    @property
-    def deployment(self) -> ShardedDeployment:
-        """The deployment configuration."""
-        return self._deployment
-
-    @property
-    def design(self) -> PhysicalDesign:
-        """The physical design this deployment was built from."""
-        return self._design
-
-    @property
-    def storage(self) -> StorageConfig:
-        """The storage-tier configuration."""
-        return self._storage
+    def _after_update_batch(self) -> None:
+        # The batch re-signed the touched roots: start a new verification
+        # epoch so stale (root, signature) pairs cannot be served cached.
+        self._root_verifier.invalidate()
 
     # ------------------------------------------------------------------ snapshots
-    def snapshot(self) -> str:
-        """Persist the deployment under its data directory; returns the path.
-
-        Requires ``storage="paged"`` with a ``data_dir``.  The owner's RSA
-        key material and every slice's root signature are part of the
-        state, so a restored deployment serves verifiable VOs without any
-        re-signing.  Taken under the exclusive lock.
-        """
-        self._ensure_open()
-        if not self._ready:
-            raise SchemeError("snapshot() requires a deployment after setup()")
-        if not (self._storage.is_paged and self._storage.data_dir):
-            raise SchemeError(
-                "snapshot() requires storage='paged' with a data_dir"
-            )
-        if self._deployment.is_replicated:
-            raise SchemeError(
-                "snapshot() snapshots a single (primary) deployment; standbys "
-                "are seeded from the primary's snapshot via serve --replica-of"
-            )
-        with self._state_lock.write_locked():
-            self.provider.flush_storage()
-            state = {
-                "scheme": self.scheme_name,
-                "params": {
-                    "page_size": self._page_size,
-                    "node_access_ms": self._node_access_ms,
-                    "index_fill_factor": self._index_fill_factor,
-                    "shards": self._deployment.num_shards,
-                    "digest": self._scheme.name,
-                    "design": self._design.to_json_dict(),
-                },
-                "dataset": self._dataset,
-                "epoch": self.owner.epoch,
-                "keys": (self.owner.signer, self.owner.verifier),
-                "provider": self.provider.snapshot_state(),
-            }
-            return write_snapshot_state(self._storage.data_dir, state)
-
-    def close(self) -> None:
-        """Checkpoint (when durable) and shut the deployment down.
-
-        Under paged storage with a data directory a final :meth:`snapshot`
-        is taken first (so updates applied since the last explicit snapshot
-        survive a clean shutdown), then the stores and pagers are flushed
-        and closed.  Idempotent, like the base ``close``.
-        """
-        if not self.closed:
-            if self._ready and self._storage.is_paged and self._storage.data_dir:
-                try:
-                    self.snapshot()
-                except SchemeError:
-                    pass  # nothing snapshotable
-            for standby in self._sp_replicas[1:]:
-                standby.close_storage()
-            self.provider.close_storage()
-        super().close()
+    def _snapshot_extras(self, state: dict) -> None:
+        # The owner's RSA key material travels with the slices' root
+        # signatures, so a restored deployment serves verifiable VOs
+        # without any re-signing.
+        state["keys"] = (self.owner.signer, self.owner.verifier)
 
     @classmethod
     def restore(
@@ -454,25 +274,13 @@ class TomScheme(AuthScheme):
         ``state`` lets a caller that already loaded the snapshot state pass
         it through instead of unpickling it a second time.
         """
-        if state is None:
-            state = load_snapshot_state(data_dir, expected_scheme=cls.scheme_name)
-        elif state.get("scheme") != cls.scheme_name:
-            raise SchemeError(
-                f"snapshot state belongs to scheme {state.get('scheme')!r}, "
-                f"not {cls.scheme_name!r}"
-            )
-        params = state["params"]
+        state = cls._load_state(data_dir, state)
         signer, verifier = state["keys"]
-        dataset = state["dataset"]
-        system = cls(
-            dataset,
-            scheme=get_scheme(params["digest"]),
-            node_access_ms=params["node_access_ms"],
-            index_fill_factor=params["index_fill_factor"],
-            max_workers=max_workers,
-            storage="paged",
-            data_dir=data_dir,
-            design=design_from_snapshot_params(params, pool_pages),
+        system = cls._reopen(
+            data_dir,
+            state,
+            pool_pages,
+            max_workers,
             # The owner and client must keep the *snapshotted* key pair (the
             # restored ADS slices carry signatures made with it) -- and
             # injecting it skips an entire wasted RSA key generation.
@@ -481,30 +289,30 @@ class TomScheme(AuthScheme):
             # Pre-epoch snapshots carry no epoch entry: restore at epoch 0.
             start_epoch=state.get("epoch", 0),
         )
-        system.provider.restore_state(state["provider"], dataset)
+        system.provider.restore_state(state["provider"], state["dataset"])
         system.owner.adopt(system.provider)
         system._ready = True
         return system
 
-    def apply_updates(self, batch: UpdateBatch) -> None:
-        """Propagate an update batch from the DO to the SP (with re-signing).
+    # ------------------------------------------------------------------ SP legs
+    def _execute(self, provider, query, ctx, record_cache):
+        return provider.execute(query, ctx)
 
-        Applied under the exclusive side of the shared/exclusive lock:
-        concurrent queries either complete before the batch or observe the
-        new data *and* the new root signature(s) together.
-        """
-        self._ensure_open()
-        with self._state_lock.write_locked():
-            self.owner.apply_updates(batch)
-            for standby in self._sp_replicas[1:]:
-                touched = standby.apply_updates(batch)
-                self._copy_slice_signatures(standby, touched)
-                standby.receive_epoch_stamp(self.owner.epoch_stamp)
-            # The batch re-signed the touched roots: start a new verification
-            # epoch so stale (root, signature) pairs cannot be served cached.
-            self._root_verifier.invalidate()
+    def _answer(
+        self, party: str, served: Tuple[List[Tuple[Any, ...]], VerificationObject],
+        ctx: ExecutionContext,
+    ) -> Tuple[List[Tuple[Any, ...]], VerificationObject, ResultResponse, VOResponse]:
+        """The result records, then their VO."""
+        records, vo = served
+        result_message = ResultResponse(
+            records=records, payload_size_hint=self._size_result(records, ctx)
+        )
+        vo_message = VOResponse(vo=vo)
+        channel = self._network.channel(party, "client")
+        channel.send(result_message, session=ctx)
+        channel.send(vo_message, session=ctx)
+        return records, vo, result_message, vo_message
 
-    # ------------------------------------------------------------------ party legs
     def _size_result(
         self, records: List[Tuple[Any, ...]], ctx: ExecutionContext
     ) -> int:
@@ -521,158 +329,40 @@ class TomScheme(AuthScheme):
             )
         return hint
 
-    def _serve_sp(
-        self, query: RangeQuery, ctx: ExecutionContext
-    ) -> Tuple[List[Tuple[Any, ...]], VerificationObject, ResultResponse, VOResponse]:
-        """The SP leg of one request: result records plus the VO."""
-        request = QueryRequest(query=query)
-        self._network.channel("client", "SP").send(request, session=ctx)
-        records, vo = self.provider.execute(query, ctx)
-        ctx.epoch_stamp = self.provider.current_stamp()
-        hint = self._size_result(records, ctx)
-        result_message = ResultResponse(records=records, payload_size_hint=hint)
-        vo_message = VOResponse(vo=vo)
-        self._network.channel("SP", "client").send(result_message, session=ctx)
-        self._network.channel("SP", "client").send(vo_message, session=ctx)
-        return records, vo, result_message, vo_message
-
-    def _serve_sp_chunk(
-        self,
-        queries: Sequence[RangeQuery],
-        contexts: Sequence[ExecutionContext],
-    ) -> List[Tuple[List[Tuple[Any, ...]], VerificationObject, ResultResponse, VOResponse]]:
-        """Serve a contiguous slice of a batch's SP legs on one pool worker."""
-        return [
-            self._serve_sp(query, ctx) for query, ctx in zip(queries, contexts)
-        ]
-
-    def _serve_sp_leg(
-        self, shard_id: int, query: RangeQuery, ctx: ExecutionContext
-    ) -> Tuple[List[Tuple[Any, ...]], VerificationObject, ResultResponse, VOResponse]:
-        """One shard's SP leg of a scattered query, with replica failover.
-
-        Dead replicas in the shard's rotation fail fast and are recorded on
-        ``ctx.failed_replicas``; the serving replica's epoch stamp rides on
-        ``ctx.epoch_stamp`` for the client's freshness check.
-        """
-        party = f"SP{shard_id}"
-        request = QueryRequest(query=query)
-        self._network.channel("client", party).send(request, session=ctx)
-        router = self._replica_router
-        served = None
-        failed: List[int] = []
-        for replica in router.attempt_order(shard_id):
-            if router.is_down(shard_id, replica):
-                failed.append(replica)
-                continue
-            fleet = self._sp_replicas[replica]
-            try:
-                served = fleet.execute_shard(shard_id, query, ctx)
-            except ReplicaDownError:
-                failed.append(replica)
-                continue
-            ctx.replica = replica
-            ctx.failed_replicas = tuple(failed)
-            ctx.epoch_stamp = fleet.shard(shard_id).current_stamp()
-            break
-        if served is None:
-            raise ReplicaDownError(
-                f"every replica of shard {shard_id} is down: {failed}"
-            )
-        records, vo = served
-        hint = self._size_result(records, ctx)
-        result_message = ResultResponse(records=records, payload_size_hint=hint)
-        vo_message = VOResponse(vo=vo)
-        self._network.channel(party, "client").send(result_message, session=ctx)
-        self._network.channel(party, "client").send(vo_message, session=ctx)
-        return records, vo, result_message, vo_message
-
-    def _serve_sp_leg_chunk(
-        self,
-        legs: Sequence[Tuple[int, int]],
-        queries: Sequence[RangeQuery],
-        leg_contexts: Dict[Tuple[int, int], ExecutionContext],
-    ) -> List[Tuple[Tuple[int, int], Tuple]]:
-        """Serve a slice of a batch's SP shard legs on one pool worker."""
-        return [
-            (
-                (position, shard_id),
-                self._serve_sp_leg(shard_id, queries[position], leg_contexts[(position, shard_id)]),
-            )
-            for position, shard_id in legs
-        ]
-
-    # ------------------------------------------------------------------ assembly
-    def _empty_outcome(self, low: Any, high: Any, verify: bool) -> TomQueryOutcome:
-        """The empty verified result a reversed range (``low > high``) gets."""
-        query = RangeQuery.degenerate(low, high, self._dataset.schema.key_column)
-        if verify:
-            report = VerificationReport(ok=True, reason="empty range (low > high)")
-        else:
-            report = skipped_report()
-        receipt = QueryReceipt(
-            query=query,
-            sp=ZERO_RECEIPT,
-            te=ZERO_RECEIPT,
-            auth_bytes=0,
-            result_bytes=0,
-            client_cpu_ms=0.0,
-        )
-        return TomQueryOutcome(
-            query=query,
-            records=[],
-            report=report,
-            sp_accesses=0,
-            sp_cost_ms=0.0,
-            auth_bytes=0,
-            result_bytes=0,
-            client_cpu_ms=0.0,
-            vo=None,
-            receipt=receipt,
+    # ------------------------------------------------------------------ outcomes
+    def _verify(
+        self, records, vo, query: RangeQuery, epoch_stamp, expected_epoch: int
+    ) -> VerificationReport:
+        return self.client.verify(
+            records,
+            vo,
+            query,
+            epoch_stamp=epoch_stamp,
+            expected_epoch=expected_epoch,
+            epoch_verifier=self._epoch_verifier,
         )
 
-    def _assemble(
-        self,
-        query: RangeQuery,
-        ctx: ExecutionContext,
-        records: List[Tuple[Any, ...]],
-        vo: VerificationObject,
-        result_message: ResultResponse,
-        vo_message: VOResponse,
-        report: VerificationReport,
+    def _conclude(
+        self, query, ctx, answer, proof, verify, expected_epoch, digest_cache=None
     ) -> TomQueryOutcome:
-        sp_receipt = ctx.sp or ZERO_RECEIPT
-        receipt = QueryReceipt(
-            query=query,
-            sp=sp_receipt,
-            te=ZERO_RECEIPT,
-            auth_bytes=vo_message.payload_bytes(),
-            result_bytes=result_message.payload_bytes(),
-            client_cpu_ms=report.details.get("cpu_ms", 0.0),
-            bytes_by_channel=dict(ctx.bytes_by_channel),
+        records, vo, result_message, vo_message = answer
+        report = (
+            self._verify(records, vo, query, ctx.epoch_stamp, expected_epoch)
+            if verify
+            else skipped_report()
         )
-        return TomQueryOutcome(
-            query=query,
-            records=records,
-            report=report,
-            sp_accesses=receipt.sp.node_accesses,
-            sp_cost_ms=receipt.sp.io_cost_ms,
-            auth_bytes=receipt.auth_bytes,
-            result_bytes=receipt.result_bytes,
-            client_cpu_ms=receipt.client_cpu_ms,
-            vo=vo,
-            receipt=receipt,
+        receipt = self._receipt(
+            query,
+            ctx,
+            vo_message.payload_bytes(),
+            result_message.payload_bytes(),
+            report.details.get("cpu_ms", 0.0),
         )
+        return TomQueryOutcome.of(receipt, records, report, vo)
 
-    def _assemble_sharded(
-        self,
-        query: RangeQuery,
-        ctx: ExecutionContext,
-        shard_ids: Sequence[int],
-        leg_contexts: Sequence[ExecutionContext],
-        leg_results: Sequence[Tuple],
-        verify: bool,
-        expected_epoch: Optional[int] = None,
+    def _conclude_legs(
+        self, query, ctx, shard_ids, leg_contexts, answers, proofs, verify,
+        expected_epoch, digest_cache=None,
     ) -> TomQueryOutcome:
         """Merge shard legs into one outcome: charges are the leg sums.
 
@@ -683,26 +373,16 @@ class TomScheme(AuthScheme):
         (``report.details["shards"]``).
         """
         records: List[Tuple[Any, ...]] = []
-        leg_receipts: List[ShardLegReceipt] = []
         vos: List[VerificationObject] = []
+        legs = []
         for shard_id, leg_ctx, (leg_records, vo, result_message, vo_message) in zip(
-            shard_ids, leg_contexts, leg_results
+            shard_ids, leg_contexts, answers
         ):
             records.extend(leg_records)
             vos.append(vo)
-            leg_receipts.append(
-                ShardLegReceipt(
-                    shard=shard_id,
-                    sp=leg_ctx.sp or ZERO_RECEIPT,
-                    te=ZERO_RECEIPT,
-                    auth_bytes=vo_message.payload_bytes(),
-                    result_bytes=result_message.payload_bytes(),
-                    replica=leg_ctx.replica,
-                    failed_replicas=leg_ctx.failed_replicas,
-                )
-            )
-            for channel_name, nbytes in leg_ctx.bytes_by_channel.items():
-                ctx.record_bytes(channel_name, nbytes)
+            legs.append(self._leg_receipt(
+                shard_id, leg_ctx, vo_message.payload_bytes(), result_message.payload_bytes()
+            ))
 
         if verify:
             leg_reports: Dict[int, VerificationReport] = {}
@@ -710,15 +390,10 @@ class TomScheme(AuthScheme):
             rejected: List[int] = []
             freshness = False
             for shard_id, leg_ctx, (leg_records, vo, _, _) in zip(
-                shard_ids, leg_contexts, leg_results
+                shard_ids, leg_contexts, answers
             ):
-                leg_report = self.client.verify(
-                    leg_records,
-                    vo,
-                    query,
-                    epoch_stamp=leg_ctx.epoch_stamp,
-                    expected_epoch=expected_epoch,
-                    epoch_verifier=self._epoch_verifier,
+                leg_report = self._verify(
+                    leg_records, vo, query, leg_ctx.epoch_stamp, expected_epoch
                 )
                 leg_reports[shard_id] = leg_report
                 client_cpu_ms += leg_report.details.get("cpu_ms", 0.0)
@@ -749,210 +424,15 @@ class TomScheme(AuthScheme):
             report = skipped_report()
             client_cpu_ms = 0.0
 
-        sp_total = ZERO_RECEIPT
-        for leg in leg_receipts:
-            sp_total = sp_total + leg.sp
-        ctx.sp = sp_total
-        receipt = QueryReceipt(
-            query=query,
-            sp=sp_total,
-            te=ZERO_RECEIPT,
-            auth_bytes=sum(leg.auth_bytes for leg in leg_receipts),
-            result_bytes=sum(leg.result_bytes for leg in leg_receipts),
-            client_cpu_ms=client_cpu_ms,
-            bytes_by_channel=dict(ctx.bytes_by_channel),
-            legs=tuple(leg_receipts),
-        )
-        return TomQueryOutcome(
-            query=query,
-            records=records,
-            report=report,
-            sp_accesses=receipt.sp.node_accesses,
-            sp_cost_ms=receipt.sp.io_cost_ms,
-            auth_bytes=receipt.auth_bytes,
-            result_bytes=receipt.result_bytes,
-            client_cpu_ms=receipt.client_cpu_ms,
-            vo=None,
-            details={"shards": list(shard_ids), "vos": vos},
-            receipt=receipt,
+        receipt = self._merged_receipt(query, ctx, legs, leg_contexts, client_cpu_ms)
+        return TomQueryOutcome.of(
+            receipt, records, report, None, {"shards": list(shard_ids), "vos": vos}
         )
 
-    # ------------------------------------------------------------------ queries
-    def query(self, low: Any, high: Any, verify: bool = True) -> TomQueryOutcome:
-        """Issue one range query through the TOM protocol.
-
-        In a sharded deployment the query is scattered to the overlapping
-        shards as parallel pool legs; every leg returns its own VO and is
-        verified independently.  A reversed range returns an empty verified
-        result at zero cost.
-        """
-        self._ensure_open()
-        if not self._ready:
-            raise RuntimeError("setup() must be called before issuing queries")
-        if is_reversed_range(low, high):
-            return self._empty_outcome(low, high, verify)
-        query = RangeQuery(low=low, high=high, attribute=self._dataset.schema.key_column)
-        ctx = ExecutionContext(query=query)
-        if self._uses_fleet:
-            pool = self._pool()
-            with self._state_lock.read_locked():
-                expected_epoch = self.owner.epoch
-                shard_ids = self.provider.shards_for(query)
-                leg_contexts = [ExecutionContext(query=query) for _ in shard_ids]
-                futures = [
-                    pool.submit(self._serve_sp_leg, shard_id, query, leg_ctx)
-                    for shard_id, leg_ctx in zip(shard_ids, leg_contexts)
-                ]
-                leg_results = [future.result() for future in futures]
-            return self._assemble_sharded(
-                query, ctx, shard_ids, leg_contexts, leg_results, verify,
-                expected_epoch=expected_epoch,
-            )
-        with self._state_lock.read_locked():
-            expected_epoch = self.owner.epoch
-            records, vo, result_message, vo_message = self._serve_sp(query, ctx)
-        report = (
-            self.client.verify(
-                records,
-                vo,
-                query,
-                epoch_stamp=ctx.epoch_stamp,
-                expected_epoch=expected_epoch,
-                epoch_verifier=self._epoch_verifier,
-            )
-            if verify
-            else skipped_report()
-        )
-        return self._assemble(query, ctx, records, vo, result_message, vo_message, report)
-
-    def query_many(
-        self, bounds: Sequence[Tuple[Any, Any]], verify: bool = True
-    ) -> List[TomQueryOutcome]:
-        """Issue a batch of range queries and return one outcome per query.
-
-        The SP legs are chunked across the dispatch thread pool (one
-        contiguous slice per worker, as in :meth:`SaeScheme.query_many`);
-        verdicts, per-query node-access counts and per-query byte accounting
-        are identical to looping over :meth:`query`.  Reversed ranges come
-        back as empty verified results with zero-cost receipts, in position.
-        """
-        self._ensure_open()
-        if not self._ready:
-            raise RuntimeError("setup() must be called before issuing queries")
-        if not bounds:
-            return []
-        return self._weave_reversed(
-            bounds, verify, lambda valid: self._query_many_valid(valid, verify)
-        )
-
-    def _query_many_valid(
-        self, bounds: Sequence[Tuple[Any, Any]], verify: bool
-    ) -> List[TomQueryOutcome]:
-        """The batch path for bounds already known to be non-degenerate."""
-        attribute = self._dataset.schema.key_column
-        queries = [RangeQuery(low=low, high=high, attribute=attribute) for low, high in bounds]
-        contexts = [ExecutionContext(query=query) for query in queries]
-        if self._uses_fleet:
-            return self._query_many_sharded(queries, contexts, verify)
-        pool = self._pool()
-        num_chunks = max(1, min(len(queries), self._num_workers))
-        chunk_size = (len(queries) + num_chunks - 1) // num_chunks
-        slices = [
-            slice(start, start + chunk_size)
-            for start in range(0, len(queries), chunk_size)
-        ]
-        with self._state_lock.read_locked():
-            expected_epoch = self.owner.epoch
-            futures = [
-                pool.submit(self._serve_sp_chunk, queries[piece], contexts[piece])
-                for piece in slices
-            ]
-            sp_results = []
-            for future in futures:
-                sp_results.extend(future.result())
-        outcomes: List[TomQueryOutcome] = []
-        for query, ctx, (records, vo, result_message, vo_message) in zip(
-            queries, contexts, sp_results
-        ):
-            report = (
-                self.client.verify(
-                    records,
-                    vo,
-                    query,
-                    epoch_stamp=ctx.epoch_stamp,
-                    expected_epoch=expected_epoch,
-                    epoch_verifier=self._epoch_verifier,
-                )
-                if verify
-                else skipped_report()
-            )
-            outcomes.append(
-                self._assemble(query, ctx, records, vo, result_message, vo_message, report)
-            )
-        return outcomes
-
-    def _query_many_sharded(
-        self,
-        queries: Sequence[RangeQuery],
-        contexts: Sequence[ExecutionContext],
-        verify: bool,
-    ) -> List[TomQueryOutcome]:
-        """Batched scatter-gather: shard legs chunked across the pool."""
-        pool = self._pool()
-        with self._state_lock.read_locked():
-            expected_epoch = self.owner.epoch
-            shard_ids_per_query = [self.provider.shards_for(query) for query in queries]
-            legs = [
-                (position, shard_id)
-                for position, shard_ids in enumerate(shard_ids_per_query)
-                for shard_id in shard_ids
-            ]
-            leg_contexts = {
-                leg: ExecutionContext(query=queries[leg[0]]) for leg in legs
-            }
-            # Group legs by shard (keeps each shard's MB-tree walk cache-hot
-            # on one worker), then chunk to one future per pool worker.
-            ordered_legs = sorted(legs, key=lambda leg: (leg[1], leg[0]))
-            num_chunks = max(1, min(len(ordered_legs), self._num_workers))
-            chunk_size = (len(ordered_legs) + num_chunks - 1) // num_chunks
-            futures = [
-                pool.submit(
-                    self._serve_sp_leg_chunk,
-                    ordered_legs[start:start + chunk_size],
-                    queries,
-                    leg_contexts,
-                )
-                for start in range(0, len(ordered_legs), chunk_size)
-            ]
-            leg_map: Dict[Tuple[int, int], Tuple] = {}
-            for future in futures:
-                for leg, leg_result in future.result():
-                    leg_map[leg] = leg_result
-        outcomes: List[TomQueryOutcome] = []
-        for position, (query, ctx) in enumerate(zip(queries, contexts)):
-            shard_ids = shard_ids_per_query[position]
-            outcomes.append(
-                self._assemble_sharded(
-                    query,
-                    ctx,
-                    shard_ids,
-                    [leg_contexts[(position, shard_id)] for shard_id in shard_ids],
-                    [leg_map[(position, shard_id)] for shard_id in shard_ids],
-                    verify,
-                    expected_epoch=expected_epoch,
-                )
-            )
-        return outcomes
-
-    # ------------------------------------------------------------------ reporting
-    def storage_report(self) -> dict:
-        """Storage footprint at the SP (bytes)."""
-        self._ensure_open()
-        return {
-            "sp_bytes": self.provider.storage_bytes(),
-            "dataset_bytes": self._dataset.size_bytes(),
-        }
-
-
-#: Compatibility alias -- the deployment facade predates the scheme layer.
-TomSystem = TomScheme
+    def _empty_outcome(self, low: Any, high: Any, verify: bool) -> TomQueryOutcome:
+        """The empty verified result a reversed range (``low > high``) gets."""
+        if verify:
+            report = VerificationReport(ok=True, reason="empty range (low > high)")
+        else:
+            report = skipped_report()
+        return TomQueryOutcome.of(self._empty_receipt(low, high), [], report, None)

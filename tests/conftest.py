@@ -32,11 +32,11 @@ if os.environ.get("HYPOTHESIS_SEED") is not None or os.environ.get("CI"):
     settings.load_profile("ci")
 
 from repro.core.dataset import Dataset
-from repro.core.protocol import SAESystem
+from repro.core.protocol import SaeScheme
 from repro.crypto.signatures import RSASigner, RSAVerifier
 from repro.crypto import rsa as rsa_module
 from repro.dbms.catalog import TableSchema
-from repro.tom.scheme import TomSystem
+from repro.tom.scheme import TomScheme
 from repro.workloads.datasets import DATASET_SCHEMA, build_dataset
 from repro.workloads.records import CAMERA_SCHEMA, make_camera_records
 
@@ -85,15 +85,15 @@ def camera_dataset() -> Dataset:
 
 
 @pytest.fixture(scope="session")
-def sae_system(small_dataset) -> SAESystem:
+def sae_system(small_dataset) -> SaeScheme:
     """A fully set-up SAE deployment over the small uniform dataset."""
-    return SAESystem(small_dataset).setup()
+    return SaeScheme(small_dataset).setup()
 
 
 @pytest.fixture(scope="session")
-def tom_system(small_dataset) -> TomSystem:
+def tom_system(small_dataset) -> TomScheme:
     """A fully set-up TOM deployment over the small uniform dataset."""
-    return TomSystem(small_dataset, key_bits=512, seed=77).setup()
+    return TomScheme(small_dataset, key_bits=512, seed=77).setup()
 
 
 @pytest.fixture()

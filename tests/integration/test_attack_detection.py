@@ -14,9 +14,9 @@ from repro.core import (
     InjectAttack,
     ModifyAttack,
     NoAttack,
-    SAESystem,
+    SaeScheme,
 )
-from repro.tom import TomSystem
+from repro.tom import TomScheme
 
 QUERY = (1_000_000, 1_400_000)
 
@@ -37,14 +37,14 @@ ATTACKS = [
 
 @pytest.fixture(scope="module")
 def sae_pair(small_dataset, skewed_small_dataset):
-    return (SAESystem(small_dataset).setup(),
-            SAESystem(skewed_small_dataset).setup())
+    return (SaeScheme(small_dataset).setup(),
+            SaeScheme(skewed_small_dataset).setup())
 
 
 @pytest.fixture(scope="module")
 def tom_pair(small_dataset, skewed_small_dataset):
-    return (TomSystem(small_dataset, key_bits=512, seed=41).setup(),
-            TomSystem(skewed_small_dataset, key_bits=512, seed=43).setup())
+    return (TomScheme(small_dataset, key_bits=512, seed=41).setup(),
+            TomScheme(skewed_small_dataset, key_bits=512, seed=43).setup())
 
 
 class TestSAEDetection:

@@ -14,7 +14,7 @@ import threading
 
 import pytest
 
-from repro.core import SAESystem, UpdateBatch
+from repro.core import SaeScheme, UpdateBatch
 from repro.workloads.datasets import build_dataset
 from repro.workloads.queries import RangeQueryWorkload
 
@@ -70,7 +70,7 @@ def fingerprint(outcome):
 def baselines():
     """Single-threaded reference fingerprints, before and after the updates."""
     dataset = make_dataset()
-    system = SAESystem(dataset).setup()
+    system = SaeScheme(dataset).setup()
     queries = make_queries()
     before = [fingerprint(system.query(low, high)) for low, high in queries]
     system.apply_updates(make_update_batch(dataset))
@@ -116,7 +116,7 @@ class TestInterleavedQueries:
     def test_receipts_match_single_threaded_baseline_around_updates(self, baselines):
         baseline_before, baseline_after = baselines
         dataset = make_dataset()
-        system = SAESystem(dataset).setup()
+        system = SaeScheme(dataset).setup()
         queries = make_queries()
 
         wave_one = [None] * len(queries)
@@ -138,7 +138,7 @@ class TestInterleavedQueries:
         in-flight queries, so each query sees both parties entirely before
         or entirely after the batch."""
         dataset = make_dataset()
-        system = SAESystem(dataset).setup()
+        system = SaeScheme(dataset).setup()
         queries = make_queries()
         outcomes = []
         outcome_lock = threading.Lock()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import SAESystem
+from repro.core import SaeScheme
 from repro.crypto.digest import SHA256
 from repro.workloads.queries import RangeQueryWorkload
 
@@ -43,7 +43,7 @@ class TestHonestQueries:
         assert outcome.cardinality == small_dataset.cardinality
 
     def test_network_accounting(self, small_dataset):
-        system = SAESystem(small_dataset).setup()
+        system = SaeScheme(small_dataset).setup()
         system.query(0, 500_000)
         tracker = system.network
         assert tracker.bytes_sent("TE", "client") > 0
@@ -61,7 +61,7 @@ class TestHonestQueries:
 
     def test_query_before_setup_rejected(self, small_dataset):
         with pytest.raises(RuntimeError):
-            SAESystem(small_dataset).query(0, 1)
+            SaeScheme(small_dataset).query(0, 1)
 
     def test_cost_metrics_populated(self, sae_system):
         outcome = sae_system.query(100, 3_000_000)
@@ -75,24 +75,24 @@ class TestHonestQueries:
 
 class TestAlternativeConfigurations:
     def test_sha256_deployment(self, small_dataset):
-        system = SAESystem(small_dataset, scheme=SHA256).setup()
+        system = SaeScheme(small_dataset, scheme=SHA256).setup()
         outcome = system.query(0, 2_000_000)
         assert outcome.verified
         assert outcome.auth_bytes == 32
 
     def test_sqlite_backend_deployment(self, small_dataset):
-        system = SAESystem(small_dataset, backend="sqlite").setup()
+        system = SaeScheme(small_dataset, backend="sqlite").setup()
         outcome = system.query(0, 2_000_000)
         assert outcome.verified
         assert sorted(outcome.records) == sorted(small_dataset.range(0, 2_000_000))
 
     def test_custom_node_access_cost(self, small_dataset):
-        system = SAESystem(small_dataset, node_access_ms=1.0).setup()
+        system = SaeScheme(small_dataset, node_access_ms=1.0).setup()
         outcome = system.query(0, 1_000_000)
         assert outcome.sp_cost_ms == outcome.sp_accesses * 1.0
 
     def test_smaller_pages(self, small_dataset):
-        system = SAESystem(small_dataset, page_size=1024).setup()
+        system = SaeScheme(small_dataset, page_size=1024).setup()
         assert system.query(0, 4_000_000).verified
 
     def test_storage_report_shape(self, sae_system, small_dataset):

@@ -13,7 +13,7 @@ from repro.core import (
     DropAttack,
     InjectAttack,
     ModifyAttack,
-    SAESystem,
+    SaeScheme,
     UpdateBatch,
 )
 from repro.core.dataset import Dataset
@@ -30,12 +30,12 @@ def dataset():
 
 @pytest.fixture(scope="module")
 def single(dataset):
-    return SAESystem(dataset).setup()
+    return SaeScheme(dataset).setup()
 
 
 @pytest.fixture(scope="module")
 def sharded(dataset):
-    return SAESystem(dataset, shards=NUM_SHARDS).setup()
+    return SaeScheme(dataset, shards=NUM_SHARDS).setup()
 
 
 def some_bounds(system):
@@ -136,7 +136,7 @@ class TestTamperedShard:
         ids=["drop", "inject", "modify"],
     )
     def test_single_tampered_shard_rejected_others_verify(self, dataset, attack):
-        system = SAESystem(dataset, shards=NUM_SHARDS).setup()
+        system = SaeScheme(dataset, shards=NUM_SHARDS).setup()
         victim = 2
         system.provider.set_shard_attack(victim, attack)
         outcome = system.query(0, 10_000_000)
@@ -152,12 +152,12 @@ class TestTamperedShard:
         assert system.query(0, 10_000_000).verified
 
     def test_fleet_wide_attack_rejected(self, dataset):
-        system = SAESystem(dataset, shards=NUM_SHARDS).setup()
+        system = SaeScheme(dataset, shards=NUM_SHARDS).setup()
         system.provider.attack = DropAttack(count=1, seed=3)
         assert not system.query(0, 10_000_000).verified
 
     def test_tamper_in_unqueried_shard_is_invisible(self, dataset):
-        system = SAESystem(dataset, shards=NUM_SHARDS).setup()
+        system = SaeScheme(dataset, shards=NUM_SHARDS).setup()
         system.provider.set_shard_attack(3, DropAttack(count=1, seed=1))
         router = system.provider.router
         outcome = system.query(0, router.boundaries[0])  # shard 0 only
@@ -167,8 +167,8 @@ class TestTamperedShard:
 class TestShardedUpdates:
     def make_pair(self):
         """Two independent deployments over identical dataset copies."""
-        single = SAESystem(build_dataset(600, record_size=96, seed=23)).setup()
-        sharded = SAESystem(
+        single = SaeScheme(build_dataset(600, record_size=96, seed=23)).setup()
+        sharded = SaeScheme(
             build_dataset(600, record_size=96, seed=23), shards=NUM_SHARDS
         ).setup()
         return single, sharded
@@ -218,7 +218,7 @@ class TestDegenerateShapes:
         # shard owns data; scattered queries must still verify.
         records = [(i, 5_000, bytes([i % 256]) * 8) for i in range(64)]
         dataset = Dataset(schema=DATASET_SCHEMA, records=records, name="clustered")
-        system = SAESystem(dataset, shards=NUM_SHARDS).setup()
+        system = SaeScheme(dataset, shards=NUM_SHARDS).setup()
         assert system.provider.records_per_shard()[0] == 64
         assert sum(system.provider.records_per_shard()) == 64
         outcome = system.query(0, 10_000)
@@ -228,14 +228,14 @@ class TestDegenerateShapes:
     def test_more_shards_than_records(self):
         records = [(1, 10, b"a"), (2, 20, b"b")]
         dataset = Dataset(schema=DATASET_SCHEMA, records=records, name="tiny")
-        system = SAESystem(dataset, shards=8).setup()
+        system = SaeScheme(dataset, shards=8).setup()
         outcome = system.query(0, 100)
         assert outcome.cardinality == 2
         assert outcome.verified
 
     def test_sqlite_backend_sharded(self):
         dataset = build_dataset(400, record_size=64, seed=5)
-        system = SAESystem(dataset, backend="sqlite", shards=3).setup()
+        system = SaeScheme(dataset, backend="sqlite", shards=3).setup()
         outcome = system.query(0, 10_000_000)
         assert outcome.cardinality == 400
         assert outcome.verified

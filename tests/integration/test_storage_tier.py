@@ -13,6 +13,8 @@ Pins the acceptance properties of the bounded-memory serving work:
 """
 
 import asyncio
+import errno
+import pickle
 
 import pytest
 
@@ -275,3 +277,50 @@ def test_snapshot_requires_the_paged_tier(tmp_path):
             volatile.snapshot()  # paged but no data_dir: nothing durable
     with pytest.raises(SchemeError):
         restore_deployment(str(tmp_path / "empty"))
+
+
+def _paged_500(tmp_path, scheme, **kwargs):
+    return OutsourcedDB(
+        build_dataset(500, record_size=64, seed=5),
+        scheme=scheme,
+        key_bits=512,
+        seed=7,
+        storage="paged",
+        data_dir=str(tmp_path),
+        pool_pages=POOL_PAGES,
+        **kwargs,
+    ).setup()
+
+
+@pytest.mark.parametrize("scheme", ["sae", "tom"])
+class TestCloseReleasesEverything:
+    """close() checkpoints exactly when snapshot() would succeed, releases
+    standbys, parties and the pool even when that checkpoint fails, and
+    lets the failure propagate instead of leaving a half-closed deployment."""
+
+    def test_a_failed_final_snapshot_still_closes(self, tmp_path, monkeypatch, scheme):
+        db = _paged_500(tmp_path, scheme)
+
+        def out_of_space(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(pickle, "dump", out_of_space)
+        with pytest.raises(OSError):
+            db.close()
+        assert db.system.closed
+        with pytest.raises(SchemeError):
+            db.query(0, 4_000_000)
+
+    def test_a_replicated_deployment_closes_without_a_snapshot(self, tmp_path, scheme):
+        db = _paged_500(tmp_path, scheme, replicas=2)
+        db.close()
+        assert db.system.closed
+        assert not has_snapshot(str(tmp_path))
+
+
+
+def test_an_sqlite_deployment_closes_without_a_snapshot(tmp_path):
+    db = _paged_500(tmp_path, "sae", backend="sqlite")
+    db.close()
+    assert db.system.closed
+    assert not has_snapshot(str(tmp_path))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cli import main as cli_main
-from repro.core import SAESystem
+from repro.core import SaeScheme
 from repro.experiments.throughput import LoadReport, format_load_reports, run_load
 from repro.tom.scheme import TomScheme
 from repro.workloads.queries import RangeQueryWorkload
@@ -18,7 +18,7 @@ def load_bounds():
 class TestRunLoad:
     @pytest.mark.parametrize("mode", ["per-query", "batched"])
     def test_serves_whole_workload_verified(self, small_dataset, load_bounds, mode):
-        with SAESystem(small_dataset).setup() as system:
+        with SaeScheme(small_dataset).setup() as system:
             report = run_load(system, load_bounds, num_clients=3, mode=mode, batch_size=7)
         assert isinstance(report, LoadReport)
         assert report.num_queries == len(load_bounds)
@@ -30,7 +30,7 @@ class TestRunLoad:
         assert report.total_te_accesses > 0
 
     def test_latencies_flow_through_metrics_layer(self, small_dataset, load_bounds):
-        with SAESystem(small_dataset).setup() as system:
+        with SaeScheme(small_dataset).setup() as system:
             report = run_load(system, load_bounds, num_clients=2, mode="per-query")
         series = report.collector.get("latency_ms[per-query]")
         assert series is not None
@@ -38,20 +38,20 @@ class TestRunLoad:
         assert series.percentile(2, 50) == report.latency_p50_ms
 
     def test_unverified_load_is_reported_as_unverified(self, small_dataset, load_bounds):
-        with SAESystem(small_dataset).setup() as system:
+        with SaeScheme(small_dataset).setup() as system:
             report = run_load(system, load_bounds[:10], num_clients=2, verify=False)
         assert report.num_queries == 10
         assert not report.all_verified
 
     def test_rejects_bad_parameters(self, small_dataset, load_bounds):
-        with SAESystem(small_dataset).setup() as system:
+        with SaeScheme(small_dataset).setup() as system:
             with pytest.raises(ValueError):
                 run_load(system, load_bounds, mode="streamed")
             with pytest.raises(ValueError):
                 run_load(system, load_bounds, num_clients=0)
 
     def test_report_formatting(self, small_dataset, load_bounds):
-        with SAESystem(small_dataset).setup() as system:
+        with SaeScheme(small_dataset).setup() as system:
             report = run_load(system, load_bounds[:8], num_clients=2)
         rendered = format_load_reports([report], title="smoke")
         assert "smoke" in rendered

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.tom import TomSystem
+from repro.tom import TomScheme
 from repro.workloads.queries import RangeQueryWorkload
 
 
@@ -47,7 +47,7 @@ class TestHonestQueries:
 
     def test_query_before_setup_rejected(self, small_dataset):
         with pytest.raises(RuntimeError):
-            TomSystem(small_dataset, key_bits=512).query(0, 1)
+            TomScheme(small_dataset, key_bits=512).query(0, 1)
 
     def test_storage_report(self, tom_system, small_dataset):
         report = tom_system.storage_report()

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from repro.core import SAESystem, UpdateBatch
-from repro.tom import TomSystem
+from repro.core import SaeScheme, UpdateBatch
+from repro.tom import TomScheme
 from repro.workloads.datasets import build_dataset
 
 
@@ -34,7 +34,7 @@ def random_batch(rng, dataset, next_id, size=15):
 
 class TestSAEUpdates:
     def test_repeated_batches_stay_consistent(self, fresh_dataset):
-        system = SAESystem(fresh_dataset).setup()
+        system = SaeScheme(fresh_dataset).setup()
         rng = random.Random(7)
         next_id = 1_000_000
         for _ in range(6):
@@ -48,7 +48,7 @@ class TestSAEUpdates:
         system.trusted_entity.xbtree.validate()
 
     def test_key_changing_modification(self, fresh_dataset):
-        system = SAESystem(fresh_dataset).setup()
+        system = SaeScheme(fresh_dataset).setup()
         record = fresh_dataset.records[0]
         record_id = fresh_dataset.id_of(record)
         system.apply_updates(UpdateBatch().modify((record_id, 9_999_999, b"moved")))
@@ -57,7 +57,7 @@ class TestSAEUpdates:
         assert any(r[0] == record_id for r in outcome.records)
 
     def test_insert_then_delete_is_a_noop_for_tokens(self, fresh_dataset):
-        system = SAESystem(fresh_dataset).setup()
+        system = SaeScheme(fresh_dataset).setup()
         before = system.query(0, 10_000_000)
         system.apply_updates(UpdateBatch().insert((777_777, 5_000_000, b"temp")))
         system.apply_updates(UpdateBatch().delete(777_777))
@@ -68,7 +68,7 @@ class TestSAEUpdates:
 
 class TestTOMUpdates:
     def test_repeated_batches_stay_consistent(self, fresh_dataset):
-        system = TomSystem(fresh_dataset, key_bits=512, seed=5).setup()
+        system = TomScheme(fresh_dataset, key_bits=512, seed=5).setup()
         rng = random.Random(11)
         next_id = 2_000_000
         for _ in range(4):
@@ -83,7 +83,7 @@ class TestTOMUpdates:
 
     def test_stale_signature_is_rejected(self, fresh_dataset):
         """If the SP applies an update but keeps the old signature, clients notice."""
-        system = TomSystem(fresh_dataset, key_bits=512, seed=5).setup()
+        system = TomScheme(fresh_dataset, key_bits=512, seed=5).setup()
         old_signature = system.provider.ads.signature
         # Apply the update *at the SP only*, bypassing the owner's re-signing.
         system.provider.apply_updates(UpdateBatch().insert((888_888, 4_000_000, b"sneaky")))

@@ -6,6 +6,7 @@ from repro.core.attacks import DropAttack, NoAttack
 from repro.core.client import Client
 from repro.core.dataset import Dataset
 from repro.core.owner import DataOwner
+from repro.core.pipeline import ExecutionContext
 from repro.core.provider import ProviderError, ServiceProvider
 from repro.core.trusted_entity import TrustedEntity, TrustedEntityError
 from repro.core.tuples import digest_record
@@ -85,17 +86,19 @@ class TestServiceProvider:
     def test_cost_accounting(self):
         provider = ServiceProvider(page_size=512, node_access_ms=10.0)
         provider.receive_dataset(dataset(200))
-        provider.execute(RangeQuery(low=0, high=500))
-        assert provider.last_query_accesses() > 0
-        assert provider.last_query_cost_ms() == provider.last_query_accesses() * 10.0
-        assert provider.last_query_cost_ms(include_cpu=True) > provider.last_query_cost_ms()
+        ctx = ExecutionContext()
+        provider.execute(RangeQuery(low=0, high=500), ctx)
+        assert ctx.sp.node_accesses > 0
+        assert ctx.sp.cost_ms() == ctx.sp.node_accesses * 10.0
+        assert ctx.sp.cost_ms(include_cpu=True) > ctx.sp.cost_ms()
 
     def test_index_only_accesses_cheaper_than_full_query(self):
         provider = ServiceProvider(page_size=512)
         provider.receive_dataset(dataset(500))
         query = RangeQuery(low=0, high=2000)
-        provider.execute(query)
-        full = provider.last_query_accesses()
+        ctx = ExecutionContext()
+        provider.execute(query, ctx)
+        full = ctx.sp.node_accesses
         index_only = provider.index_only_accesses(query)
         assert index_only < full
 
@@ -153,8 +156,9 @@ class TestTrustedEntity:
         indexed.receive_dataset(ds)
         scanning.receive_dataset(ds)
         query = RangeQuery(low=333, high=999)
-        assert indexed.generate_vt(query) == scanning.generate_vt(query)
-        assert indexed.last_vt_accesses() < scanning.last_vt_accesses()
+        indexed_ctx, scanning_ctx = ExecutionContext(), ExecutionContext()
+        assert indexed.generate_vt(query, indexed_ctx) == scanning.generate_vt(query, scanning_ctx)
+        assert indexed_ctx.te.node_accesses < scanning_ctx.te.node_accesses
 
     def test_updates_maintain_token(self):
         ds = dataset(40)
@@ -189,9 +193,10 @@ class TestTrustedEntity:
     def test_cost_reporting(self):
         te = TrustedEntity(page_size=512, node_access_ms=10.0)
         te.receive_dataset(dataset(300))
-        te.generate_vt(RangeQuery(low=0, high=500))
-        assert te.last_vt_accesses() > 0
-        assert te.last_vt_cost_ms() == te.last_vt_accesses() * 10.0
+        ctx = ExecutionContext()
+        te.generate_vt(RangeQuery(low=0, high=500), ctx)
+        assert ctx.te.node_accesses > 0
+        assert ctx.te.cost_ms() == ctx.te.node_accesses * 10.0
 
 
 class TestDataOwner:

@@ -2,7 +2,7 @@
 
 Covers the receipt objects, the scoped (re-entrant) access counter, the
 per-session channel accounting, batched VT generation equivalence, and the
-deprecated ``last_*`` shims.
+party charges each context receipt carries.
 """
 
 import random
@@ -260,22 +260,21 @@ class TestEntityReceipts:
         # the shared counter accumulated the batch's charges too
         assert batched.counter.node_accesses == sum(count for _, count in expected)
 
-    def test_last_accessors_are_deprecated_shims(self, dataset):
+    def test_context_receipts_carry_the_party_charges(self, dataset):
         provider = ServiceProvider()
         provider.receive_dataset(dataset)
         ctx = ExecutionContext()
+        before = provider.counter.node_accesses
         provider.execute(RangeQuery(low=0, high=1_000_000), ctx)
-        with pytest.deprecated_call():
-            assert provider.last_query_accesses() == ctx.sp.node_accesses
-        with pytest.deprecated_call():
-            assert provider.last_query_cost_ms() == ctx.sp.io_cost_ms
+        assert ctx.sp.node_accesses == provider.counter.node_accesses - before > 0
+        assert ctx.sp.cost_ms() == ctx.sp.io_cost_ms
 
         trusted = TrustedEntity()
         trusted.receive_dataset(dataset)
         te_ctx = ExecutionContext()
+        before = trusted.counter.node_accesses
         trusted.generate_vt(RangeQuery(low=0, high=1_000_000), te_ctx)
-        with pytest.deprecated_call():
-            assert trusted.last_vt_accesses() == te_ctx.te.node_accesses
+        assert te_ctx.te.node_accesses == trusted.counter.node_accesses - before > 0
 
 
 class TestSkippedVerification:

@@ -263,28 +263,37 @@ class TestStaleReplicaDetection:
             assert not outcome.verification.details.get("freshness_violation")
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
 class TestFailoverGuards:
-    def test_kill_requires_replication(self, tiny_dataset):
-        system = OutsourcedDB(tiny_dataset, scheme="sae").setup()
-        with pytest.raises(SchemeError):
-            system.kill_replica(0)
-        with pytest.raises(SchemeError):
-            system.revive_replica(0)
+    """The replica kill/revive and failover loop both schemes share."""
 
-    def test_all_replicas_down_raises(self, tiny_dataset):
-        system = OutsourcedDB(tiny_dataset, scheme="sae", replicas=2).setup()
+    def _system(self, dataset, scheme, **kwargs):
+        return OutsourcedDB(dataset, scheme=scheme, key_bits=512, seed=7, **kwargs).setup()
+
+    def test_kill_requires_replication(self, tiny_dataset, scheme):
+        system = self._system(tiny_dataset, scheme)
+        with system:
+            with pytest.raises(SchemeError):
+                system.kill_replica(0)
+            with pytest.raises(SchemeError):
+                system.revive_replica(0)
+
+    def test_all_replicas_down_raises(self, tiny_dataset, scheme):
+        system = self._system(tiny_dataset, scheme, replicas=2)
         keys = tiny_dataset.keys()
         with system:
             system.kill_replica(0)
             system.kill_replica(1)
             with pytest.raises(ReplicaDownError):
                 system.query(min(keys), max(keys))
+            with pytest.raises(ReplicaDownError):
+                system.query_many([(min(keys), max(keys)), (min(keys), min(keys))])
             system.revive_replica(0)
             system.revive_replica(1)
             assert system.query(min(keys), max(keys)).verified
 
-    def test_failed_attempts_visible_on_receipt(self, tiny_dataset):
-        system = OutsourcedDB(tiny_dataset, scheme="sae", replicas=2).setup()
+    def test_failed_attempts_visible_on_receipt(self, tiny_dataset, scheme):
+        system = self._system(tiny_dataset, scheme, replicas=2)
         keys = tiny_dataset.keys()
         with system:
             system.kill_replica(0)

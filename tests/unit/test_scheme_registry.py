@@ -9,10 +9,10 @@ receipt -- instead of scheme-divergent errors.
 import pytest
 
 from repro.core import OutsourcedDB, SchemeError, available_schemes, scheme_class
-from repro.core.protocol import SaeScheme, SAESystem
+from repro.core.protocol import SaeScheme
 from repro.core.scheme import AuthScheme
 from repro.dbms.query import QueryError, RangeQuery
-from repro.tom.scheme import TomScheme, TomSystem
+from repro.tom.scheme import TomScheme
 
 
 class TestRegistry:
@@ -29,9 +29,14 @@ class TestRegistry:
         with pytest.raises(SchemeError, match="sae"):
             scheme_class("merkle2")
 
-    def test_compat_aliases_point_at_the_schemes(self):
-        assert SAESystem is SaeScheme
-        assert TomSystem is TomScheme
+    def test_each_scheme_class_is_exported_under_one_name(self):
+        import repro
+
+        exported = {
+            name for name in repro.__all__
+            if getattr(repro, name) in (SaeScheme, TomScheme)
+        }
+        assert exported == {"SaeScheme", "TomScheme"}
 
     def test_schemes_implement_the_interface(self):
         assert issubclass(SaeScheme, AuthScheme)
