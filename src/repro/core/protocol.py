@@ -14,9 +14,17 @@ scheme layer needs:
   (node accesses at SP and TE, authentication bytes, result bytes, client
   CPU time, verification verdict);
 * :meth:`SaeScheme.query_many` -- a batched variant: SP executions are
-  dispatched across the thread pool while the TE answers the whole batch
-  with one shared XB-tree walk, and the client decodes and hashes each
-  distinct record payload once across overlapping results.
+  dispatched across the thread pool while each TE slice answers the whole
+  batch with one shared XB-tree walk, and the client decodes and hashes
+  each distinct record payload once across overlapping results.
+
+Both run the one scatter path of :class:`~repro.core.scheme.AuthScheme`
+(an unsharded deployment is a scatter with one leg, since the token of a
+range is the XOR of its per-shard tokens).  :class:`SaeScheme` supplies
+the hooks: :meth:`~SaeScheme._execute` / :meth:`~SaeScheme._answer` for an
+SP leg, :meth:`~SaeScheme._submit_leg_proofs` /
+:meth:`~SaeScheme._serve_leg_proof_batches` for the TE's token legs, and
+:meth:`~SaeScheme._conclude_legs` for the client's verdict.
 
 Records travel SP -> client as the canonical bytes the heap file stores:
 the SP does not decode them, the result is charged ``sum(len(payload))``,
@@ -116,7 +124,8 @@ class SaeScheme(AuthScheme):
     this class supplies SAE's proof: the SP answers with the records'
     canonical bytes, the trusted entity -- a party of its own, dispatched
     beside every SP leg -- with an XOR token, and the client checks one
-    against the other.
+    against the other (an unsharded deployment's one leg with
+    :meth:`Client.verify`, a fleet's legs with :meth:`Client.verify_shards`).
     """
 
     scheme_name = "sae"
@@ -248,13 +257,11 @@ class SaeScheme(AuthScheme):
         return payloads, result_message
 
     # ------------------------------------------------------------------ TE legs
-    def _te_party(self, shard_id: Optional[int]):
-        if shard_id is None:
-            return "TE", self.trusted_entity
-        return f"TE{shard_id}", self.trusted_entity.shard(shard_id)
+    def _te_party(self, shard_id: int):
+        return self._party("TE", shard_id), self.trusted_entity.shard(shard_id)
 
     def _serve_te(
-        self, query: RangeQuery, ctx: ExecutionContext, shard_id: Optional[int] = None
+        self, query: RangeQuery, ctx: ExecutionContext, shard_id: int
     ) -> Tuple[Digest, VTResponse]:
         """One TE leg: receive the query, return the token."""
         party, trusted_entity = self._te_party(shard_id)
@@ -268,9 +275,9 @@ class SaeScheme(AuthScheme):
         self,
         queries: Sequence[RangeQuery],
         contexts: Sequence[ExecutionContext],
-        shard_id: Optional[int] = None,
+        shard_id: int,
     ) -> List[Tuple[Digest, VTResponse]]:
-        """A whole batch's TE legs: a single shared XB-tree walk."""
+        """A whole batch's TE legs on one slice: a single shared XB-tree walk."""
         party, trusted_entity = self._te_party(shard_id)
         channel_in = self._network.channel("client", party)
         channel_out = self._network.channel(party, "client")
@@ -284,26 +291,13 @@ class SaeScheme(AuthScheme):
             results.append((token, message))
         return results
 
-    def _serve_unsharded(self, query: RangeQuery, ctx: ExecutionContext, verify: bool):
+    def _submit_leg_proofs(self, pool, query, shard_ids, leg_contexts, verify):
         """SP and TE legs run concurrently on the pool -- they are
         independent parties in the paper's model."""
-        pool = self._pool()
-        sp_future = pool.submit(self._serve_sp, query, ctx)
-        te_future = pool.submit(self._serve_te, query, ctx) if verify else None
-        answer = sp_future.result()
-        return answer, te_future.result() if te_future is not None else None
-
-    def _submit_leg_proofs(self, pool, query, shard_ids, leg_contexts, verify):
         return [
             pool.submit(self._serve_te, query, leg_ctx, shard_id) if verify else None
             for shard_id, leg_ctx in zip(shard_ids, leg_contexts)
         ]
-
-    def _serve_proof_batch(self, queries, contexts, verify):
-        """The TE answers the whole batch with one sorted XB-tree walk."""
-        if not verify:
-            return [None] * len(queries)
-        return self._serve_te_batch(queries, contexts)
 
     def _serve_leg_proof_batches(
         self, pool, queries, shard_ids_per_query, leg_contexts, verify
@@ -336,35 +330,16 @@ class SaeScheme(AuthScheme):
         }
 
     # ------------------------------------------------------------------ outcomes
-    def _conclude(
-        self, query, ctx, answer, proof, verify, expected_epoch, digest_cache=None
-    ) -> QueryOutcome:
-        """The client's verdict (a decode-only skipped one without a token)."""
-        payloads, result_message = answer
-        token, token_message = proof or (None, None)
-        verification = self.client.verify(
-            payloads,
-            token,
-            query=query,
-            digest_cache=digest_cache,
-            epoch_stamp=ctx.epoch_stamp,
-            expected_epoch=expected_epoch,
-            epoch_verifier=self._epoch_verifier,
-        )
-        receipt = self._receipt(
-            query,
-            ctx,
-            token_message.payload_bytes() if token_message is not None else 0,
-            result_message.payload_bytes(),
-            verification.cpu_ms,
-        )
-        return QueryOutcome.of(receipt, verification)
-
     def _conclude_legs(
-        self, query, ctx, shard_ids, leg_contexts, answers, proofs, verify,
+        self, query, shard_ids, leg_contexts, answers, proofs, verify,
         expected_epoch, digest_cache=None,
     ) -> QueryOutcome:
-        """Leg-by-leg verdict, merged token and summed charges."""
+        """Leg-by-leg verdict, merged token and summed charges.
+
+        The one leg of an unsharded deployment gets the client's plain
+        verdict; a fleet's legs are checked one by one and the verdicts
+        merged, which pinpoints a tampering or stale shard.
+        """
         legs: List[ShardLegReceipt] = []
         verify_legs = []
         for shard_id, leg_ctx, (payloads, result_message), proof in zip(
@@ -378,7 +353,9 @@ class SaeScheme(AuthScheme):
                 result_message.payload_bytes(),
             ))
             verify_legs.append((shard_id, payloads, token, leg_ctx.epoch_stamp))
-        if verify:
+        if not verify:
+            verification = self.client.verify([p for leg in verify_legs for p in leg[1]], None)
+        elif self._uses_fleet:
             verification = self.client.verify_shards(
                 verify_legs,
                 query=query,
@@ -387,9 +364,19 @@ class SaeScheme(AuthScheme):
                 epoch_verifier=self._epoch_verifier,
             )
         else:
-            verification = self.client.verify([p for leg in verify_legs for p in leg[1]], None)
-        receipt = self._merged_receipt(query, ctx, legs, leg_contexts, verification.cpu_ms)
-        return QueryOutcome.of(receipt, verification, {"shards": list(shard_ids)})
+            (_, payloads, token, epoch_stamp), = verify_legs
+            verification = self.client.verify(
+                payloads,
+                token,
+                query=query,
+                digest_cache=digest_cache,
+                epoch_stamp=epoch_stamp,
+                expected_epoch=expected_epoch,
+                epoch_verifier=self._epoch_verifier,
+            )
+        receipt = self._merged_receipt(query, legs, leg_contexts, verification.cpu_ms)
+        details = {"shards": list(shard_ids)} if self._uses_fleet else None
+        return QueryOutcome.of(receipt, verification, details)
 
     def _empty_outcome(self, low: Any, high: Any, verify: bool) -> QueryOutcome:
         """The empty verified result a reversed range (``low > high``) gets."""

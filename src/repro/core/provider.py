@@ -16,8 +16,8 @@ from typing import List, Optional
 
 from repro.core.attacks import AttackModel, NoAttack
 from repro.core.dataset import Dataset
-from repro.core.pipeline import CostReceipt, ExecutionContext, ZERO_RECEIPT
-from repro.core.sharding import AttackableFleet
+from repro.core.pipeline import CostReceipt, ExecutionContext
+from repro.core.sharding import AttackableFleet, SingleShard
 from repro.core.updates import DeleteRecord, InsertRecord, ModifyRecord, UpdateBatch
 from repro.crypto.encoding import decode_record, encode_record
 from repro.dbms.query import RangeQuery
@@ -32,7 +32,7 @@ class ProviderError(RuntimeError):
     """Raised when the SP is used before receiving a dataset."""
 
 
-class ServiceProvider:
+class ServiceProvider(SingleShard):
     """The query-execution party of SAE (possibly malicious).
 
     ``storage`` selects the storage tier: under the default in-memory
@@ -293,12 +293,12 @@ class ShardedServiceProvider(AttackableFleet):
     The relation is range-partitioned on the query attribute by a
     :class:`~repro.core.sharding.ShardRouter` derived deterministically from
     the outsourced dataset; each shard runs its own conventional DBMS (heap
-    file + B+-tree, or sqlite table).  ``execute`` scatters a range query to
-    the overlapping shards only and gathers the partial results in key
-    order; the per-query cost receipt is the *sum* of the shard legs, so the
-    paper's accounting is unchanged by the deployment shape.  The scheme
-    facade runs every shard's ``execute`` itself, in parallel on its thread
-    pool.
+    file + B+-tree, or sqlite table).  The fleet has no merged ``execute``:
+    the scheme facade scatters a range query to the overlapping shards
+    (:meth:`shards_for`) and runs every shard's ``execute`` itself, in
+    parallel on its thread pool, so the per-query cost receipt is the *sum*
+    of the shard legs and the paper's accounting is unchanged by the
+    deployment shape.
     """
 
     not_ready_error = ProviderError
@@ -349,39 +349,6 @@ class ShardedServiceProvider(AttackableFleet):
                 shard.apply_updates(shard_batch)
 
     # ------------------------------------------------------------------ queries
-    def shards_for(self, query: RangeQuery) -> List[int]:
-        """Ids of the shards whose key ranges overlap ``query``."""
-        return self.router.shards_for_range(query.low, query.high)
-
-    def execute(
-        self,
-        query: RangeQuery,
-        ctx: Optional[ExecutionContext] = None,
-        record_cache: Optional[dict] = None,
-    ) -> List[bytes]:
-        """Scatter ``query`` to the overlapping shards and gather in key order.
-
-        This is the sequential fallback used when the caller does not manage
-        the legs itself.  ``record_cache``, when given, is a mapping from
-        shard id to that shard's private RID cache (physical record ids are
-        only unique within a shard's heap file).  The merged receipt on
-        ``ctx.sp`` equals the sum of the shard-leg receipts.
-        """
-        merged: List[bytes] = []
-        total = ZERO_RECEIPT
-        for shard_id in self.shards_for(query):
-            leg_ctx = ExecutionContext(query=query)
-            shard_cache = (
-                record_cache.setdefault(shard_id, {}) if record_cache is not None else None
-            )
-            merged.extend(
-                self._shards[shard_id].execute(query, leg_ctx, record_cache=shard_cache)
-            )
-            total = total + (leg_ctx.sp or ZERO_RECEIPT)
-        if ctx is not None:
-            ctx.sp = total
-        return merged
-
     def index_only_accesses(self, query: RangeQuery) -> int:
         """Summed index-traversal accesses of the overlapping shard legs."""
         return sum(

@@ -155,7 +155,9 @@ class AuthScheme(abc.ABC):
     the SP fleet with its warm standbys, the deployment properties, replica
     kill/revive, setup and the propagation of update batches, the snapshot
     guards and the state keys every scheme writes, restore's state loading,
-    :meth:`close`, the ``query``/``query_many`` preamble, the per-shard
+    :meth:`close`, and the one serving path of ``query``/``query_many``: a
+    scatter to the overlapping shards (an unsharded deployment is the
+    one-shard case, whose parties answer as shard 0), the per-shard
     replica-failover loop, the chunking of batch legs and the merging of
     leg receipts.
 
@@ -166,12 +168,10 @@ class AuthScheme(abc.ABC):
       :meth:`_answer` ships what it returned (SAE: the records' bytes;
       TOM: the records plus their VO).  A scheme with a separate
       authenticator (SAE's TE) also overrides the proof hooks
-      :meth:`_serve_unsharded`, :meth:`_submit_leg_proofs`,
-      :meth:`_serve_proof_batch` and :meth:`_serve_leg_proof_batches`,
+      :meth:`_submit_leg_proofs` and :meth:`_serve_leg_proof_batches`,
       whose defaults suit a proof that rides on the SP's answer;
-    * verifying and building the outcome -- :meth:`_conclude` (one answer),
-      :meth:`_conclude_legs` (shard legs) and :meth:`_empty_outcome`
-      (a reversed range);
+    * verifying and building the outcome -- :meth:`_conclude_legs` (a
+      query's shard legs) and :meth:`_empty_outcome` (a reversed range);
     * keeping standbys current -- :meth:`_sync_standby` and
       :meth:`_after_update_batch`;
     * snapshot extras -- :meth:`_snapshot_extras`, plus
@@ -234,11 +234,18 @@ class AuthScheme(abc.ABC):
         self._index_fill_factor = index_fill_factor
         # A replicated-but-unsharded deployment still runs fleets (of one
         # shard each): legs then carry per-shard receipts, on which the
-        # failover bookkeeping (replica / failed_replicas) rides.
+        # failover bookkeeping (replica / failed_replicas) rides.  Without a
+        # fleet a deployment looks unscattered from outside: SP/TE channel
+        # names, no legs on the receipt, the client's plain verdict.
         self._uses_fleet = (
             self._deployment.is_sharded or self._deployment.is_replicated
         )
-        self._replica_router: Optional[ReplicaRouter] = None
+        # Every SP leg walks a replica rotation -- 1x1 when unreplicated and
+        # unsharded.  ``_sp_replicas`` lists the SP fleets (primary first)
+        # and stays empty for a lone provider, which is no fleet.
+        self._replica_router = ReplicaRouter(
+            self._deployment.num_shards, self._deployment.num_replicas
+        )
         self._sp_replicas: List[Any] = []
         self._ready = False
         # Queries hold this shared; update batches and snapshots hold it
@@ -275,9 +282,6 @@ class AuthScheme(abc.ABC):
             build(attack=None, component_prefix=f"{self.scheme_name}-r{replica}-sp")
             for replica in range(1, deployment.num_replicas)
         ]
-        self._replica_router = ReplicaRouter(
-            deployment.num_shards, deployment.num_replicas
-        )
 
     def _adopt_owner(self, owner: Any) -> None:
         """Install the data owner and the client's epoch-stamp verifier."""
@@ -356,7 +360,7 @@ class AuthScheme(abc.ABC):
             self._replica_router.revive(shard, replica)
 
     def _replicated_shards(self, shard_id: Optional[int]) -> Sequence[int]:
-        if self._replica_router is None or self._deployment.num_replicas < 2:
+        if not self._deployment.is_replicated:
             raise SchemeError(
                 "kill/revive need a replicated deployment (replicas >= 2)"
             )
@@ -584,32 +588,47 @@ class AuthScheme(abc.ABC):
         """Issue one verified range query and return its outcome.
 
         The outcome exposes ``verified``, ``records``, ``cardinality`` and a
-        :class:`~repro.core.pipeline.QueryReceipt` on ``receipt``.  In a
-        fleet deployment the query is scattered to the overlapping shards
-        only, every shard's legs run as pool tasks, and the gathered
-        receipt carries the summed charges.  A reversed range
-        (``low > high``) returns an empty verified result at zero cost.
+        :class:`~repro.core.pipeline.QueryReceipt` on ``receipt``.  The
+        query is scattered to the overlapping shards only (an unsharded
+        deployment is a scatter with one leg), every shard's legs run as
+        pool tasks, and the gathered receipt carries the summed charges.  A
+        reversed range (``low > high``) returns an empty verified result at
+        zero cost.
         """
         self._require_ready()
         if is_reversed_range(low, high):
             return self._empty_outcome(low, high, verify)
         query = RangeQuery(low=low, high=high, attribute=self._dataset.schema.key_column)
-        ctx = ExecutionContext(query=query)
-        if self._uses_fleet:
-            return self._query_sharded(query, ctx, verify)
+        pool = self._pool()
         with self._state_lock.read_locked():
             expected_epoch = self.owner.epoch
-            answer, proof = self._serve_unsharded(query, ctx, verify)
-        return self._conclude(query, ctx, answer, proof, verify, expected_epoch)
+            shard_ids = self.provider.shards_for(query)
+            leg_contexts = [ExecutionContext(query=query) for _ in shard_ids]
+            sp_futures = [
+                pool.submit(self._serve_sp_leg, shard_id, query, leg_ctx)
+                for shard_id, leg_ctx in zip(shard_ids, leg_contexts)
+            ]
+            proof_futures = self._submit_leg_proofs(
+                pool, query, shard_ids, leg_contexts, verify
+            )
+            answers = [future.result() for future in sp_futures]
+            proofs = [
+                future.result() if future is not None else None
+                for future in proof_futures
+            ]
+        return self._conclude_legs(
+            query, shard_ids, leg_contexts, answers, proofs, verify, expected_epoch
+        )
 
     def query_many(self, bounds: Sequence[Tuple[Any, Any]], verify: bool = True) -> List:
         """Issue a batch of range queries; one outcome per query, in order.
 
-        The SP legs are chunked across the dispatch pool (one contiguous
-        slice per worker); verdicts, per-query node-access counts and
-        per-query byte accounting are identical to looping over
-        :meth:`query`.  Reversed ranges anywhere in the batch come back as
-        empty verified results with zero-cost receipts, in position.
+        The SP legs are grouped by shard and chunked across the dispatch
+        pool (one contiguous slice per worker); verdicts, per-query
+        node-access counts and per-query byte accounting are identical to
+        looping over :meth:`query`.  Reversed ranges anywhere in the batch
+        come back as empty verified results with zero-cost receipts, in
+        position.
         """
         self._require_ready()
         if not bounds:
@@ -655,61 +674,9 @@ class AuthScheme(abc.ABC):
         ]
 
     def _query_many_valid(self, bounds: Sequence[Tuple[Any, Any]], verify: bool) -> List:
-        """The batch path for bounds already known to be non-degenerate."""
+        """Batched scatter-gather for bounds already known to be non-degenerate."""
         attribute = self._dataset.schema.key_column
         queries = [RangeQuery(low=low, high=high, attribute=attribute) for low, high in bounds]
-        contexts = [ExecutionContext(query=query) for query in queries]
-        if self._uses_fleet:
-            return self._query_many_sharded(queries, contexts, verify)
-        pool = self._pool()
-        record_cache: dict = {}
-        with self._state_lock.read_locked():
-            expected_epoch = self.owner.epoch
-            sp_futures = [
-                pool.submit(
-                    self._serve_chunk, self._serve_sp,
-                    [(query, ctx, record_cache) for query, ctx in chunk],
-                )
-                for chunk in self._chunked(list(zip(queries, contexts)))
-            ]
-            proofs = self._serve_proof_batch(queries, contexts, verify)
-            answers = [answer for future in sp_futures for answer in future.result()]
-        digest_cache: dict = {}
-        return [
-            self._conclude(query, ctx, answer, proof, verify, expected_epoch, digest_cache)
-            for query, ctx, answer, proof in zip(queries, contexts, answers, proofs)
-        ]
-
-    def _query_sharded(self, query: RangeQuery, ctx: ExecutionContext, verify: bool):
-        """Scatter one query to its overlapping shards, in parallel legs."""
-        pool = self._pool()
-        with self._state_lock.read_locked():
-            expected_epoch = self.owner.epoch
-            shard_ids = self.provider.shards_for(query)
-            leg_contexts = [ExecutionContext(query=query) for _ in shard_ids]
-            sp_futures = [
-                pool.submit(self._serve_sp_leg, shard_id, query, leg_ctx)
-                for shard_id, leg_ctx in zip(shard_ids, leg_contexts)
-            ]
-            proof_futures = self._submit_leg_proofs(
-                pool, query, shard_ids, leg_contexts, verify
-            )
-            answers = [future.result() for future in sp_futures]
-            proofs = [
-                future.result() if future is not None else None
-                for future in proof_futures
-            ]
-        return self._conclude_legs(
-            query, ctx, shard_ids, leg_contexts, answers, proofs, verify, expected_epoch
-        )
-
-    def _query_many_sharded(
-        self,
-        queries: Sequence[RangeQuery],
-        contexts: Sequence[ExecutionContext],
-        verify: bool,
-    ) -> List:
-        """Batched scatter-gather: shard legs chunked across the pool."""
         pool = self._pool()
         record_caches: Dict[int, dict] = {
             shard_id: {} for shard_id in range(self.num_shards)
@@ -730,7 +697,7 @@ class AuthScheme(abc.ABC):
             ordered_legs = sorted(legs, key=lambda leg: (leg[1], leg[0]))
             sp_futures = [
                 pool.submit(
-                    self._serve_chunk, self._serve_sp_leg,
+                    self._serve_chunk,
                     [
                         (shard_id, queries[position], leg_contexts[(position, shard_id)],
                          record_caches[shard_id])
@@ -748,13 +715,12 @@ class AuthScheme(abc.ABC):
             ))
         digest_cache: dict = {}
         outcomes = []
-        for position, (query, ctx) in enumerate(zip(queries, contexts)):
+        for position, query in enumerate(queries):
             shard_ids = shard_ids_per_query[position]
             query_legs = [(position, shard_id) for shard_id in shard_ids]
             outcomes.append(
                 self._conclude_legs(
                     query,
-                    ctx,
                     shard_ids,
                     [leg_contexts[leg] for leg in query_legs],
                     [answers[leg] for leg in query_legs],
@@ -776,21 +742,16 @@ class AuthScheme(abc.ABC):
         size = (len(items) + num_chunks - 1) // num_chunks
         return [items[start:start + size] for start in range(0, len(items), size)]
 
-    @staticmethod
-    def _serve_chunk(serve, calls: Sequence[Tuple]) -> List:
-        """Serve one pool worker's slice of a batch's legs, in order."""
-        return [serve(*call) for call in calls]
+    def _serve_chunk(self, calls: Sequence[Tuple]) -> List:
+        """Serve one pool worker's slice of a batch's SP legs, in order."""
+        return [self._serve_sp_leg(*call) for call in calls]
+
+    def _party(self, role: str, shard_id: int) -> str:
+        """A leg's party name on the channels: ``SP``/``TE`` in an unsharded
+        deployment, ``SP0``/``TE0``... in a fleet."""
+        return f"{role}{shard_id}" if self._uses_fleet else role
 
     # ------------------------------------------------------------------ SP legs
-    def _serve_sp(
-        self, query: RangeQuery, ctx: ExecutionContext, record_cache: Optional[dict] = None
-    ):
-        """The SP leg of one unsharded request: the query in, the answer out."""
-        self._network.channel("client", "SP").send(QueryRequest(query=query), session=ctx)
-        served = self._execute(self.provider, query, ctx, record_cache)
-        ctx.epoch_stamp = self.provider.current_stamp()
-        return self._answer("SP", served, ctx)
-
     def _serve_sp_leg(
         self,
         shard_id: int,
@@ -807,7 +768,7 @@ class AuthScheme(abc.ABC):
         freshness check.  A dead replica does no work, so the retry leaves
         the leg-sum invariant (:meth:`QueryReceipt.matches_leg_sums`) intact.
         """
-        party = f"SP{shard_id}"
+        party = self._party("SP", shard_id)
         self._network.channel("client", party).send(QueryRequest(query=query), session=ctx)
         router = self._replica_router
         served = None
@@ -816,7 +777,8 @@ class AuthScheme(abc.ABC):
             if router.is_down(shard_id, replica):
                 failed.append(replica)
                 continue
-            shard = self._sp_replicas[replica].shard(shard_id)
+            fleet = self._sp_replicas[replica] if replica else self.provider
+            shard = fleet.shard(shard_id)
             try:
                 served = self._execute(shard, query, ctx, record_cache)
             except ReplicaDownError:
@@ -848,10 +810,6 @@ class AuthScheme(abc.ABC):
         """Send what ``party`` served to the client; returns the leg's answer."""
 
     # ------------------------------------------------------------------ proof legs
-    def _serve_unsharded(self, query: RangeQuery, ctx: ExecutionContext, verify: bool):
-        """The ``(answer, proof)`` of one unsharded request, under the lock."""
-        return self._serve_sp(query, ctx), None
-
     def _submit_leg_proofs(
         self, pool: ThreadPoolExecutor, query: RangeQuery, shard_ids: Sequence[int],
         leg_contexts: Sequence[ExecutionContext], verify: bool,
@@ -859,36 +817,24 @@ class AuthScheme(abc.ABC):
         """One future (or ``None``) per shard leg for that leg's proof."""
         return [None] * len(shard_ids)
 
-    def _serve_proof_batch(
-        self, queries: Sequence[RangeQuery], contexts: Sequence[ExecutionContext],
-        verify: bool,
-    ) -> List:
-        """The proofs of an unsharded batch, one per query (``None``: none)."""
-        return [None] * len(queries)
-
     def _serve_leg_proof_batches(
         self, pool: ThreadPoolExecutor, queries: Sequence[RangeQuery],
         shard_ids_per_query: Sequence[Sequence[int]],
         leg_contexts: Dict[Tuple[int, int], ExecutionContext], verify: bool,
     ) -> Dict[Tuple[int, int], Any]:
-        """The proofs of a sharded batch, by ``(position, shard_id)`` leg."""
+        """The proofs of a batch's shard legs, by ``(position, shard_id)``."""
         return {}
 
     # ------------------------------------------------------------------ outcomes
     @abc.abstractmethod
-    def _conclude(
-        self, query: RangeQuery, ctx: ExecutionContext, answer: Any, proof: Any,
-        verify: bool, expected_epoch: int, digest_cache: Optional[dict] = None,
-    ):
-        """Verify one unsharded answer (unless ``verify`` is off); its outcome."""
-
-    @abc.abstractmethod
     def _conclude_legs(
-        self, query: RangeQuery, ctx: ExecutionContext, shard_ids: Sequence[int],
+        self, query: RangeQuery, shard_ids: Sequence[int],
         leg_contexts: Sequence[ExecutionContext], answers: Sequence, proofs: Sequence,
         verify: bool, expected_epoch: int, digest_cache: Optional[dict] = None,
     ):
-        """Verify a scattered query's legs one by one; the merged outcome."""
+        """Verify a scattered query's legs (unless ``verify`` is off); the
+        merged outcome.  An unsharded deployment's one leg gets the client's
+        plain verdict, exactly as if it had never been scattered."""
 
     @abc.abstractmethod
     def _empty_outcome(self, low: Any, high: Any, verify: bool):
@@ -899,23 +845,9 @@ class AuthScheme(abc.ABC):
         """A reversed range's receipt: no party worked, every charge is zero,
         and the query keeps the bounds the client asked for."""
         query = RangeQuery.degenerate(low, high, self._dataset.schema.key_column)
-        return self._receipt(query, ExecutionContext(), 0, 0, 0.0)
-
-    @staticmethod
-    def _receipt(
-        query: RangeQuery, ctx: ExecutionContext, auth_bytes: int, result_bytes: int,
-        client_cpu_ms: float, legs: Tuple[ShardLegReceipt, ...] = (),
-    ) -> QueryReceipt:
-        """The query's receipt from the party receipts on ``ctx``."""
         return QueryReceipt(
-            query=query,
-            sp=ctx.sp or ZERO_RECEIPT,
-            te=ctx.te or ZERO_RECEIPT,
-            auth_bytes=auth_bytes,
-            result_bytes=result_bytes,
-            client_cpu_ms=client_cpu_ms,
-            bytes_by_channel=dict(ctx.bytes_by_channel),
-            legs=legs,
+            query=query, sp=ZERO_RECEIPT, te=ZERO_RECEIPT,
+            auth_bytes=0, result_bytes=0, client_cpu_ms=0.0,
         )
 
     @staticmethod
@@ -934,27 +866,32 @@ class AuthScheme(abc.ABC):
         )
 
     def _merged_receipt(
-        self, query: RangeQuery, ctx: ExecutionContext, legs: Sequence[ShardLegReceipt],
+        self, query: RangeQuery, legs: Sequence[ShardLegReceipt],
         leg_contexts: Sequence[ExecutionContext], client_cpu_ms: float,
     ) -> QueryReceipt:
-        """Merge shard legs onto ``ctx``: every charge is the sum of the legs."""
-        sp_total = ZERO_RECEIPT
-        te_total = ZERO_RECEIPT
+        """The query's receipt: every charge is the sum of its shard legs.
+
+        An unsharded receipt carries no legs: its one leg *is* the query.
+        """
+        sp_total = te_total = ZERO_RECEIPT
         for leg in legs:
             sp_total = sp_total + leg.sp
             te_total = te_total + leg.te
+        bytes_by_channel: Dict[str, int] = {}
         for leg_ctx in leg_contexts:
             for channel_name, nbytes in leg_ctx.bytes_by_channel.items():
-                ctx.record_bytes(channel_name, nbytes)
-        ctx.sp = sp_total
-        ctx.te = te_total
-        return self._receipt(
-            query,
-            ctx,
-            sum(leg.auth_bytes for leg in legs),
-            sum(leg.result_bytes for leg in legs),
-            client_cpu_ms,
-            tuple(legs),
+                bytes_by_channel[channel_name] = (
+                    bytes_by_channel.get(channel_name, 0) + nbytes
+                )
+        return QueryReceipt(
+            query=query,
+            sp=sp_total,
+            te=te_total,
+            auth_bytes=sum(leg.auth_bytes for leg in legs),
+            result_bytes=sum(leg.result_bytes for leg in legs),
+            client_cpu_ms=client_cpu_ms,
+            bytes_by_channel=bytes_by_channel,
+            legs=tuple(legs) if self._uses_fleet else (),
         )
 
     # ------------------------------------------------------------------ reporting

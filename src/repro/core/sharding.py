@@ -25,14 +25,16 @@ This module holds the pieces shared by both parties:
 
 The sharded parties themselves live next to their single-shard versions:
 :class:`~repro.core.provider.ShardedServiceProvider` and
-:class:`~repro.core.trusted_entity.ShardedTrustedEntity`.
+:class:`~repro.core.trusted_entity.ShardedTrustedEntity`.  A single-shard
+party mixes in :class:`SingleShard`, so an unsharded deployment answers the
+same fleet calls as a fleet of one.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.dataset import Dataset
 from repro.core.updates import DeleteRecord, InsertRecord, ModifyRecord, UpdateBatch
@@ -89,19 +91,6 @@ class ShardedDeployment:
     def is_replicated(self) -> bool:
         """Whether each shard has at least one standby replica."""
         return self.num_replicas > 1
-
-    @classmethod
-    def coerce(
-        cls, value: Union[int, "ShardedDeployment"], num_replicas: int = 1
-    ) -> "ShardedDeployment":
-        """Accept either a shard count or a ready-made deployment config.
-
-        ``num_replicas`` applies only when coercing a bare shard count; a
-        ready-made config keeps its own replica setting.
-        """
-        if isinstance(value, ShardedDeployment):
-            return value
-        return cls(num_shards=int(value), num_replicas=int(num_replicas))
 
 
 class ShardRouter:
@@ -434,6 +423,28 @@ class ShardMap:
         self.schema = state["schema"]
 
 
+class SingleShard:
+    """The fleet surface of a party that is its deployment's only shard.
+
+    An unsharded deployment is the one-shard case of the scatter path: the
+    scheme asks a party for ``num_shards``, ``shard(shard_id)`` and
+    ``shards_for(query)`` exactly as it asks a :class:`ShardedFleet`, and a
+    lone party answers as shard 0 of a fleet of one.
+    """
+
+    num_shards = 1
+
+    def shard(self, shard_id: int) -> "SingleShard":
+        """The party itself, which is shard 0."""
+        if shard_id != 0:
+            raise ShardingError(f"an unsharded party has no shard {shard_id}")
+        return self
+
+    def shards_for(self, query: Any) -> List[int]:
+        """Every query lands on shard 0."""
+        return [0]
+
+
 class ShardedFleet:
     """Shared plumbing of a fleet of single-shard parties behind one facade.
 
@@ -480,6 +491,10 @@ class ShardedFleet:
         if not self._map.ready:
             raise self.not_ready_error(self.not_ready_message)
         return self._map.require_router()
+
+    def shards_for(self, query: Any) -> List[int]:
+        """Ids of the shards whose key ranges overlap ``query``."""
+        return self.router.shards_for_range(query.low, query.high)
 
     def receive_dataset(self, dataset: Dataset) -> None:
         """Partition the relation and load every shard's party."""

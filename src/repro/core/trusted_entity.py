@@ -13,8 +13,8 @@ import time
 from typing import Any, Iterable, List, Optional, Sequence
 
 from repro.core.dataset import Dataset
-from repro.core.pipeline import CostReceipt, ExecutionContext, ZERO_RECEIPT
-from repro.core.sharding import ShardedFleet
+from repro.core.pipeline import CostReceipt, ExecutionContext
+from repro.core.sharding import ShardedFleet, SingleShard
 from repro.core.tuples import TETuple, digest_record, make_te_tuples
 from repro.core.updates import DeleteRecord, InsertRecord, ModifyRecord, UpdateBatch
 from repro.crypto.digest import (
@@ -61,7 +61,7 @@ def _apportion(total: int, weights: Sequence[int]) -> List[int]:
     return parts
 
 
-class TrustedEntity:
+class TrustedEntity(SingleShard):
     """The authentication party of SAE.
 
     ``storage`` selects the XB-tree's storage tier (see
@@ -378,7 +378,8 @@ class ShardedTrustedEntity(ShardedFleet):
     token is an XOR aggregate, the token of a scattered query is the XOR of
     its shard-leg tokens: ``VT = VT_0 ⊕ ... ⊕ VT_k`` equals the XOR of the
     digests of *all* records in the range, exactly as in the single-shard
-    deployment.  Receipts merged onto a context are the sums of the legs.
+    deployment.  The fleet has no merged ``generate_vt``: the scheme facade
+    asks each overlapping slice (:meth:`shards_for`) for its leg's token.
     """
 
     not_ready_error = TrustedEntityError
@@ -434,63 +435,6 @@ class ShardedTrustedEntity(ShardedFleet):
         ):
             if len(shard_batch):
                 shard.apply_updates(shard_batch, dataset_schema=dataset_schema)
-
-    # ------------------------------------------------------------------ token generation
-    def shards_for(self, query: RangeQuery) -> List[int]:
-        """Ids of the slices whose key ranges overlap ``query``."""
-        return self.router.shards_for_range(query.low, query.high)
-
-    def generate_vt(self, query: RangeQuery, ctx: Optional[ExecutionContext] = None) -> Digest:
-        """Merged token for ``query``: XOR of the overlapping shard legs.
-
-        The sequential fallback used when the caller does not manage the
-        legs itself; the receipt on ``ctx.te`` is the sum of the legs.
-        """
-        token = self._scheme.zero()
-        total = ZERO_RECEIPT
-        for shard_id in self.shards_for(query):
-            leg_ctx = ExecutionContext(query=query)
-            token = token ^ self._shards[shard_id].generate_vt(query, leg_ctx)
-            total = total + (leg_ctx.te or ZERO_RECEIPT)
-        if ctx is not None:
-            ctx.te = total
-        return token
-
-    def generate_vt_batch(
-        self,
-        queries: Sequence[RangeQuery],
-        contexts: Optional[Sequence[Optional[ExecutionContext]]] = None,
-    ) -> List[Digest]:
-        """Merged tokens for a batch: one shared XB-tree walk *per slice*.
-
-        Every slice batches the sub-ranges of the queries that overlap it;
-        tokens and receipts merge exactly as in :meth:`generate_vt`.
-        """
-        self.router  # raises before setup
-        if contexts is not None and len(contexts) != len(queries):
-            raise ValueError("contexts must be parallel to queries")
-        tokens = [self._scheme.zero() for _ in queries]
-        totals = [ZERO_RECEIPT for _ in queries]
-        for shard_id, shard in enumerate(self._shards):
-            positions = [
-                position
-                for position, query in enumerate(queries)
-                if shard_id in self.shards_for(query)
-            ]
-            if not positions:
-                continue
-            leg_contexts = [ExecutionContext(query=queries[p]) for p in positions]
-            leg_tokens = shard.generate_vt_batch(
-                [queries[p] for p in positions], leg_contexts
-            )
-            for position, leg_ctx, leg_token in zip(positions, leg_contexts, leg_tokens):
-                tokens[position] = tokens[position] ^ leg_token
-                totals[position] = totals[position] + (leg_ctx.te or ZERO_RECEIPT)
-        if contexts is not None:
-            for position, ctx in enumerate(contexts):
-                if ctx is not None:
-                    ctx.te = totals[position]
-        return tokens
 
     # ------------------------------------------------------------------ persistence
     def restore_state(self, state: dict) -> None:

@@ -172,39 +172,23 @@ def _mixed_update_batch(dataset, num_operations: int) -> UpdateBatch:
     return batch
 
 
+def _accesses(party) -> int:
+    """Cumulative node accesses of a party, summed over its shards."""
+    return sum(
+        party.shard(shard_id).counter.node_accesses
+        for shard_id in range(party.num_shards)
+    )
+
+
 def _party_accesses(system: OutsourcedDB) -> int:
     """Summed cumulative node accesses of every serving party."""
-    provider = system.provider
-    if hasattr(provider, "counter"):
-        total = provider.counter.node_accesses
-    else:  # sharded fleet: sum the per-shard counters
-        total = sum(
-            provider.shard(shard_id).counter.node_accesses
-            for shard_id in range(provider.num_shards)
-        )
-    trusted_entity = getattr(system.system, "trusted_entity", None)
-    if trusted_entity is not None:
-        if hasattr(trusted_entity, "counter"):
-            total += trusted_entity.counter.node_accesses
-        else:
-            total += sum(
-                trusted_entity.shard(shard_id).counter.node_accesses
-                for shard_id in range(trusted_entity.num_shards)
-            )
-    return total
+    return _accesses(system.provider) + _te_accesses(system)
 
 
 def _te_accesses(system: OutsourcedDB) -> int:
     """Cumulative node accesses at the TE (0 for schemes without one)."""
     trusted_entity = getattr(system.system, "trusted_entity", None)
-    if trusted_entity is None:
-        return 0
-    if hasattr(trusted_entity, "counter"):
-        return trusted_entity.counter.node_accesses
-    return sum(
-        trusted_entity.shard(shard_id).counter.node_accesses
-        for shard_id in range(trusted_entity.num_shards)
-    )
+    return 0 if trusted_entity is None else _accesses(trusted_entity)
 
 
 def run_head_to_head(

@@ -144,22 +144,18 @@ def tampers_all_detected(system: AuthScheme, low: Any, high: Any) -> bool:
     detected = True
     try:
         for attack in attacks:
-            if system.num_shards > 1:
-                provider.set_shard_attack(victim, attack)
-            else:
-                provider.attack = attack
+            provider.shard(victim).attack = attack
             outcome = system.query(low, high)
             if outcome.verified:
                 detected = False
-            if system.num_shards > 1:
-                shard_verdicts = outcome.verification.details.get("shards", {})
-                others_ok = all(
-                    result.ok
-                    for shard, result in shard_verdicts.items()
-                    if shard != victim
-                )
-                if not others_ok:
-                    detected = False
+            shard_verdicts = outcome.verification.details.get("shards", {})
+            others_ok = all(
+                result.ok
+                for shard, result in shard_verdicts.items()
+                if shard != victim
+            )
+            if not others_ok:
+                detected = False
     finally:
         provider.attack = None
     honest = system.query(low, high)

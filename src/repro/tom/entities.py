@@ -22,7 +22,7 @@ from repro.core.attacks import AttackModel, NoAttack
 from repro.core.dataset import Dataset
 from repro.core.epoch import EpochAuthority, EpochStamp, classify_epoch
 from repro.core.pipeline import CostReceipt, ExecutionContext
-from repro.core.sharding import AttackableFleet, partition_dataset
+from repro.core.sharding import AttackableFleet, SingleShard, partition_dataset
 from repro.core.tuples import digest_record
 from repro.core.updates import DeleteRecord, InsertRecord, ModifyRecord, UpdateBatch
 from repro.crypto.digest import DigestScheme, MemoStats, RecordMemo, default_scheme
@@ -169,7 +169,7 @@ class TomDataOwner:
         self._provider.receive_epoch_stamp(self._epochs.advance())
 
 
-class TomServiceProvider:
+class TomServiceProvider(SingleShard):
     """The TOM service provider: dataset storage plus the MB-tree ADS.
 
     ``storage`` selects the storage tier; the conventional B+-tree and the
@@ -580,10 +580,6 @@ class ShardedTomServiceProvider(AttackableFleet):
         return touched
 
     # ------------------------------------------------------------------ queries
-    def shards_for(self, query: RangeQuery) -> List[int]:
-        """Ids of the shards whose key ranges overlap ``query``."""
-        return self.router.shards_for_range(query.low, query.high)
-
     def index_only_accesses(self, query: RangeQuery) -> int:
         """Summed MB-tree traversal accesses of the overlapping shard legs."""
         return sum(

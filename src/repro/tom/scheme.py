@@ -342,35 +342,18 @@ class TomScheme(AuthScheme):
             epoch_verifier=self._epoch_verifier,
         )
 
-    def _conclude(
-        self, query, ctx, answer, proof, verify, expected_epoch, digest_cache=None
-    ) -> TomQueryOutcome:
-        records, vo, result_message, vo_message = answer
-        report = (
-            self._verify(records, vo, query, ctx.epoch_stamp, expected_epoch)
-            if verify
-            else skipped_report()
-        )
-        receipt = self._receipt(
-            query,
-            ctx,
-            vo_message.payload_bytes(),
-            result_message.payload_bytes(),
-            report.details.get("cpu_ms", 0.0),
-        )
-        return TomQueryOutcome.of(receipt, records, report, vo)
-
     def _conclude_legs(
-        self, query, ctx, shard_ids, leg_contexts, answers, proofs, verify,
+        self, query, shard_ids, leg_contexts, answers, proofs, verify,
         expected_epoch, digest_cache=None,
     ) -> TomQueryOutcome:
         """Merge shard legs into one outcome: charges are the leg sums.
 
-        Every leg's (result, VO) pair is verified on its own against the
-        leg's shard signature -- after the leg's epoch stamp passes the
-        freshness check -- so the merged report pinpoints exactly which
-        shard(s) tampered or served stale state
-        (``report.details["shards"]``).
+        The one leg of an unsharded deployment gets the client's plain
+        report and its VO stays on the outcome.  In a fleet every leg's
+        (result, VO) pair is verified on its own against the leg's shard
+        signature -- after the leg's epoch stamp passes the freshness check
+        -- so the merged report pinpoints exactly which shard(s) tampered or
+        served stale state (``report.details["shards"]``).
         """
         records: List[Tuple[Any, ...]] = []
         vos: List[VerificationObject] = []
@@ -384,7 +367,13 @@ class TomScheme(AuthScheme):
                 shard_id, leg_ctx, vo_message.payload_bytes(), result_message.payload_bytes()
             ))
 
-        if verify:
+        if not verify:
+            report = skipped_report()
+        elif not self._uses_fleet:
+            report = self._verify(
+                records, vos[0], query, leg_contexts[0].epoch_stamp, expected_epoch
+            )
+        else:
             leg_reports: Dict[int, VerificationReport] = {}
             client_cpu_ms = 0.0
             rejected: List[int] = []
@@ -420,11 +409,12 @@ class TomScheme(AuthScheme):
                 boundaries=sum(r.boundaries for r in leg_reports.values()),
                 details=details,
             )
-        else:
-            report = skipped_report()
-            client_cpu_ms = 0.0
 
-        receipt = self._merged_receipt(query, ctx, legs, leg_contexts, client_cpu_ms)
+        receipt = self._merged_receipt(
+            query, legs, leg_contexts, report.details.get("cpu_ms", 0.0)
+        )
+        if not self._uses_fleet:
+            return TomQueryOutcome.of(receipt, records, report, vos[0])
         return TomQueryOutcome.of(
             receipt, records, report, None, {"shards": list(shard_ids), "vos": vos}
         )

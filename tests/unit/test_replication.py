@@ -176,11 +176,6 @@ class TestReplicatedDeploymentConfig:
         assert not ShardedDeployment(2).is_replicated
         assert ShardedDeployment(1, num_replicas=2).is_replicated
 
-    def test_coerce_applies_replicas_to_bare_counts_only(self):
-        assert ShardedDeployment.coerce(3, num_replicas=2).num_replicas == 2
-        config = ShardedDeployment(2, num_replicas=4)
-        assert ShardedDeployment.coerce(config, num_replicas=9).num_replicas == 4
-
 
 class TestStaleReplicaAttack:
     def test_capture_takes_records_and_stamp(self, tiny_dataset):
@@ -277,6 +272,10 @@ class TestFailoverGuards:
                 system.kill_replica(0)
             with pytest.raises(SchemeError):
                 system.revive_replica(0)
+            # The lone provider is no fleet: even its 1x1 replica rotation
+            # must not hand it back as "replica 0".
+            with pytest.raises(SchemeError):
+                system.sp_replica(0)
 
     def test_all_replicas_down_raises(self, tiny_dataset, scheme):
         system = self._system(tiny_dataset, scheme, replicas=2)

@@ -38,11 +38,6 @@ class TestShardedDeployment:
         assert not ShardedDeployment(1).is_sharded
         assert ShardedDeployment(4).is_sharded
 
-    def test_coerce_accepts_ints_and_configs(self):
-        assert ShardedDeployment.coerce(3).num_shards == 3
-        config = ShardedDeployment(2)
-        assert ShardedDeployment.coerce(config) is config
-
     def test_rejects_non_positive_counts(self):
         with pytest.raises(ShardingError):
             ShardedDeployment(0)
