@@ -14,6 +14,7 @@ cannot flake on a loaded runner.
 import pytest
 
 from repro.core import SaeScheme
+from repro.core.design import PhysicalDesign
 from repro.experiments.scaling import model_response_ms, run_scaling
 from repro.workloads import build_dataset
 from repro.workloads.queries import RangeQueryWorkload
@@ -42,7 +43,7 @@ def bounds(dataset):
 
 def test_four_shards_reach_2x_model_qps(dataset, bounds):
     single = SaeScheme(dataset).setup()
-    sharded = SaeScheme(dataset, shards=4).setup()
+    sharded = SaeScheme(dataset, design=PhysicalDesign(shards=4)).setup()
 
     reference = single.query_many(bounds)
     scattered = sharded.query_many(bounds)
@@ -88,6 +89,6 @@ def test_scaling_sweep_trend(dataset):
 
 def test_sharded_query_many_benchmark(benchmark, dataset, bounds):
     """pytest-benchmark timing of the 4-shard scatter-gather (trajectory)."""
-    system = SaeScheme(dataset, shards=4).setup()
+    system = SaeScheme(dataset, design=PhysicalDesign(shards=4)).setup()
     sample = bounds[:10]
     benchmark(lambda: system.query_many(sample))

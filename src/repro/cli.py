@@ -398,20 +398,23 @@ def _bench_load_problem(args: argparse.Namespace) -> Optional[str]:
     return None
 
 
-def _load_design_file(path: str, **overrides):
-    """Load a ``--design`` file and fold explicitly-set flags onto it.
+def _command_design(path: Optional[str], default=None, **overrides):
+    """The one design a command deploys, with explicitly-set flags folded on.
 
-    Returns ``(design, None)`` or ``(None, error_message)``: an unreadable
-    or malformed file, or an override combination the design cannot absorb
-    (a :class:`~repro.core.design.DesignError`), is the CLI's exit-2 case.
+    ``path`` is the ``--design`` file; without one the command's ``default``
+    design (else the stock :class:`~repro.core.design.PhysicalDesign`)
+    stands in.  Returns ``(design, None)`` or ``(None, error_message)``: an
+    unreadable or malformed file, or an override combination the design
+    cannot absorb (a :class:`~repro.core.design.DesignError`), is the CLI's
+    exit-2 case.
     """
     from repro.core.design import DesignError, PhysicalDesign
 
     try:
-        design = PhysicalDesign.load(path).with_overrides(**overrides)
+        base = PhysicalDesign.load(path) if path is not None else default or PhysicalDesign()
+        return base.with_overrides(**overrides), None
     except DesignError as exc:
-        return None, f"--design {path}: {exc}"
-    return design, None
+        return None, f"--design {path}: {exc}" if path is not None else str(exc)
 
 
 def _run_bench_smoke(args: argparse.Namespace) -> int:
@@ -555,22 +558,20 @@ def _run_serve(args: argparse.Namespace) -> int:
     if args.shards is not None and args.shards < 1:
         print(f"error: --shards must be at least 1, got {args.shards}", file=sys.stderr)
         return 2
-    design = None
-    if args.design is not None:
-        if args.replica_of is not None:
-            print("error: --design contradicts --replica-of (a standby serves "
-                  "the design its primary's shipped snapshot was built with)",
-                  file=sys.stderr)
-            return 2
-        design, problem = _load_design_file(
-            args.design,
-            shards=args.shards,
-            replicas=args.replicas,
-            pool_pages=args.pool_pages,
-        )
-        if problem is not None:
-            print(f"error: {problem}", file=sys.stderr)
-            return 2
+    if args.design is not None and args.replica_of is not None:
+        print("error: --design contradicts --replica-of (a standby serves "
+              "the design its primary's shipped snapshot was built with)",
+              file=sys.stderr)
+        return 2
+    design, problem = _command_design(
+        args.design,
+        shards=args.shards,
+        replicas=args.replicas,
+        pool_pages=args.pool_pages,
+    )
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
     for option, value in (("--data-dir", args.data_dir), ("--replica-of", args.replica_of)):
         if value is not None and has_fleet(value):
             print(f"error: {value} holds a multi-process fleet, which a single "
@@ -597,8 +598,7 @@ def _run_serve(args: argparse.Namespace) -> int:
             run_server(system, host=args.host, port=args.port,
                        max_in_flight=args.max_in_flight, port_file=args.port_file)
         return 0
-    replicas = design.replicas if design is not None else (args.replicas or 1)
-    if replicas > 1 and args.data_dir is not None:
+    if design.replicas > 1 and args.data_dir is not None:
         print("error: --replicas > 1 serves from memory; per-primary snapshots "
               "ship to standbys via --replica-of instead", file=sys.stderr)
         return 2
@@ -608,7 +608,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         return 2
 
     if args.data_dir is not None and has_snapshot(args.data_dir):
-        if design is not None:
+        if args.design is not None:
             print(f"error: --design contradicts the existing snapshot at "
                   f"{args.data_dir} (its physical design is baked into the "
                   "page files); rebuild in a fresh directory to change it",
@@ -624,28 +624,15 @@ def _run_serve(args: argparse.Namespace) -> int:
     else:
         dataset = build_dataset(args.records, distribution=args.distribution,
                                 seed=args.seed)
-        if design is not None:
-            system = OutsourcedDB(
-                dataset,
-                scheme=args.scheme,
-                design=design,
-                key_bits=args.key_bits,
-                seed=args.seed,
-                storage=storage,
-                data_dir=args.data_dir,
-            ).setup()
-        else:
-            system = OutsourcedDB(
-                dataset,
-                scheme=args.scheme,
-                shards=args.shards,
-                replicas=args.replicas,
-                key_bits=args.key_bits,
-                seed=args.seed,
-                storage=storage,
-                data_dir=args.data_dir,
-                pool_pages=args.pool_pages,
-            ).setup()
+        system = OutsourcedDB(
+            dataset,
+            scheme=args.scheme,
+            design=design,
+            key_bits=args.key_bits,
+            seed=args.seed,
+            storage=storage,
+            data_dir=args.data_dir,
+        ).setup()
         print(f"dataset {dataset.name}: {dataset.cardinality} records, "
               f"scheme {system.scheme_name}, {system.num_shards} shard(s) x "
               f"{system.num_replicas} replica(s), storage {storage}")
@@ -667,6 +654,7 @@ def _run_serve_fleet(args: argparse.Namespace) -> int:
     import signal
     import threading
 
+    from repro.core.design import PhysicalDesign
     from repro.network.fleet import (
         FleetError,
         FleetManager,
@@ -675,22 +663,21 @@ def _run_serve_fleet(args: argparse.Namespace) -> int:
         has_fleet,
     )
 
-    design = None
-    if args.design is not None:
-        design, problem = _load_design_file(
-            args.design,
-            shards=args.shards,
-            replicas=args.replicas,
-            pool_pages=args.pool_pages,
-        )
-        if problem is not None:
-            print(f"error: {problem}", file=sys.stderr)
-            return 2
+    design, problem = _command_design(
+        args.design,
+        PhysicalDesign(shards=2),
+        shards=args.shards,
+        replicas=args.replicas,
+        pool_pages=args.pool_pages,
+    )
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
 
     if has_fleet(args.data_dir):
         manifest = FleetManifest.load(args.data_dir)
         served = manifest.physical_design()
-        if design is not None:
+        if args.design is not None:
             mismatched = [
                 name
                 for name in ("shards", "replicas", "pool_pages", "page_size")
@@ -726,11 +713,8 @@ def _run_serve_fleet(args: argparse.Namespace) -> int:
         try:
             manifest = build_fleet(
                 dataset,
-                num_shards=None if design is not None else (args.shards or 2),
-                base_dir=args.data_dir,
+                args.data_dir,
                 scheme=args.scheme,
-                replicas=None if design is not None else args.replicas,
-                pool_pages=None if design is not None else args.pool_pages,
                 design=design,
                 key_bits=args.key_bits,
                 seed=args.seed,
@@ -839,20 +823,15 @@ def _run_bench_load(args: argparse.Namespace) -> int:
     if problem is not None:
         print(f"error: {problem}", file=sys.stderr)
         return 2
-    design = None
-    if args.design is not None:
-        design, design_problem = _load_design_file(
-            args.design,
-            shards=args.shards,
-            replicas=args.replicas,
-            batch_size=args.batch_size,
-        )
-        if design_problem is not None:
-            print(f"error: {design_problem}", file=sys.stderr)
-            return 2
-    batch_size = design.batch_size if design is not None else (args.batch_size or 25)
-    num_shards = design.shards if design is not None else (args.shards or 1)
-    num_replicas = design.replicas if design is not None else (args.replicas or 1)
+    design, problem = _command_design(
+        args.design,
+        shards=args.shards,
+        replicas=args.replicas,
+        batch_size=args.batch_size,
+    )
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
 
     dataset = build_dataset(args.records, distribution=args.distribution, seed=args.seed)
     workload = RangeQueryWorkload(
@@ -865,30 +844,16 @@ def _run_bench_load(args: argparse.Namespace) -> int:
     verify = not args.no_verify
     modes = ["per-query", "batched"] if args.mode == "both" else [args.mode]
     if args.transport == "fleet":
-        return _run_bench_load_fleet(
-            args, dataset, bounds, modes, verify, design, batch_size
-        )
+        return _run_bench_load_fleet(args, dataset, bounds, modes, verify, design)
     reports = []
-    serving_design = design
     for mode in modes:
-        if design is not None:
-            system = OutsourcedDB(
-                dataset,
-                scheme=args.scheme,
-                design=design,
-                key_bits=args.key_bits,
-                seed=args.seed,
-            ).setup()
-        else:
-            system = OutsourcedDB(
-                dataset,
-                scheme=args.scheme,
-                shards=args.shards,
-                replicas=args.replicas,
-                key_bits=args.key_bits,
-                seed=args.seed,
-            ).setup()
-        serving_design = system.design
+        system = OutsourcedDB(
+            dataset,
+            scheme=args.scheme,
+            design=design,
+            key_bits=args.key_bits,
+            seed=args.seed,
+        ).setup()
         with system:
             reports.append(
                 run_load(
@@ -896,21 +861,21 @@ def _run_bench_load(args: argparse.Namespace) -> int:
                     bounds,
                     num_clients=args.clients,
                     mode=mode,
-                    batch_size=batch_size,
+                    batch_size=design.batch_size,
                     verify=verify,
                     transport=args.transport,
                 )
             )
     title = (f"load driver [{args.scheme}/{args.transport}]: {args.records} records, "
-             f"{args.queries} queries, {args.clients} clients, {num_shards} shard(s) x "
-             f"{num_replicas} replica(s)")
+             f"{args.queries} queries, {args.clients} clients, {design.shards} shard(s) x "
+             f"{design.replicas} replica(s)")
     print(format_load_reports(reports, title=title))
     if args.record_trace is not None and reports:
         from repro.workloads.trace import entries_from_outcomes, write_trace
 
         count = write_trace(
             args.record_trace,
-            _trace_meta(args, dataset, serving_design, modes[0]),
+            _trace_meta(args, dataset, design, modes[0]),
             entries_from_outcomes(reports[0].outcomes),
         )
         print(f"recorded {count} queries to {args.record_trace}")
@@ -938,7 +903,7 @@ def _trace_meta(args: argparse.Namespace, dataset, design, mode: str) -> dict:
         "cardinality": dataset.cardinality,
         "distribution": args.distribution,
         "seed": args.seed,
-        "design": design.to_json_dict() if design is not None else None,
+        "design": design.to_json_dict(),
     }
 
 
@@ -949,7 +914,6 @@ def _run_bench_load_fleet(
     modes: List[str],
     verify: bool,
     design,
-    batch_size: int,
 ) -> int:
     """The fleet transport: real shard processes, real worker processes."""
     import tempfile
@@ -967,10 +931,8 @@ def _run_bench_load_fleet(
         with tempfile.TemporaryDirectory(prefix="repro-fleet-") as base_dir:
             manifest = build_fleet(
                 dataset,
-                num_shards=None if design is not None else (args.shards or 1),
-                base_dir=base_dir,
+                base_dir,
                 scheme=args.scheme,
-                replicas=None if design is not None else args.replicas,
                 design=design,
                 key_bits=args.key_bits,
                 seed=args.seed,
@@ -986,7 +948,7 @@ def _run_bench_load_fleet(
                             num_workers=workers,
                             clients_per_worker=args.clients,
                             mode=mode,
-                            batch_size=batch_size,
+                            batch_size=design.batch_size,
                             verify=verify,
                             scheme=args.scheme,
                             num_shards=manifest.num_shards,

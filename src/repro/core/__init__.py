@@ -23,7 +23,6 @@ from repro.core.tuples import TETuple, make_te_tuples
 from repro.core.owner import DataOwner
 from repro.core.provider import ServiceProvider, ShardedServiceProvider
 from repro.core.sharding import (
-    ShardedDeployment,
     ShardingError,
     ShardRouter,
     partition_dataset,
@@ -77,7 +76,6 @@ __all__ = [
     "QueryReceipt",
     "ShardLegReceipt",
     "ShardRouter",
-    "ShardedDeployment",
     "ShardedServiceProvider",
     "ShardedTrustedEntity",
     "ShardingError",

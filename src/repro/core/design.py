@@ -10,12 +10,10 @@ gathers them into one frozen, JSON-serialisable value that
 
 * the schemes (:class:`~repro.core.protocol.SaeScheme`,
   :class:`~repro.tom.scheme.TomScheme`) consume via their ``design=``
-  parameter (the raw ``shards=`` / ``replicas=`` / ``pool_pages=`` keywords
-  remain as deprecation shims that build a design internally);
-* the sharding layer consumes through
-  :class:`~repro.core.sharding.ShardedDeployment.cut_points` -- *explicit*
-  (possibly unbalanced) cut points, where ``None`` keeps the historical
-  balanced-from-dataset behaviour;
+  parameter, the only way to lay a deployment out;
+* the sharding layer consumes through :meth:`PhysicalDesign.router` --
+  *explicit* (possibly unbalanced) cut points, where ``None`` keeps the
+  historical balanced-from-dataset behaviour;
 * the multi-process fleet persists inside its manifest
   (:class:`~repro.network.fleet.FleetManifest`), so ``serve-fleet`` serves
   exactly the design the fleet was built with;
@@ -187,16 +185,6 @@ class PhysicalDesign:
             )
         return ShardRouter.from_dataset(dataset, self.shards)
 
-    def deployment(self):
-        """The matching :class:`~repro.core.sharding.ShardedDeployment`."""
-        from repro.core.sharding import ShardedDeployment
-
-        return ShardedDeployment(
-            num_shards=self.shards,
-            num_replicas=self.replicas,
-            cut_points=self.cut_points,
-        )
-
     # ------------------------------------------------------------------ serialisation
     def to_json_dict(self) -> dict:
         """A plain-JSON representation (round-trips via :meth:`from_json_dict`)."""
@@ -298,60 +286,4 @@ def design_from_snapshot_params(params: dict, pool_pages: Optional[int]) -> Phys
         )
     if pool_pages is not None and pool_pages != design.pool_pages:
         design = design.with_overrides(pool_pages=pool_pages)
-    return design
-
-
-def resolve_design(
-    design: Optional[PhysicalDesign],
-    *,
-    shards: Any = None,
-    replicas: Optional[int] = None,
-    pool_pages: Optional[int] = None,
-    page_size: Optional[int] = None,
-) -> PhysicalDesign:
-    """Merge a scheme constructor's legacy keywords with a ``design``.
-
-    The deprecation shim behind every scheme constructor: callers that still
-    pass raw ``shards=`` / ``replicas=`` / ``pool_pages=`` / ``page_size=``
-    keywords get a design built from them; callers that pass ``design=``
-    may repeat a legacy keyword only with the *same* value -- a
-    contradiction raises :class:`DesignError` rather than silently picking
-    one side.  ``shards`` also accepts a
-    :class:`~repro.core.sharding.ShardedDeployment` (whose replica count
-    and cut points are honoured).
-    """
-    from repro.core.sharding import ShardedDeployment
-
-    cut_points = None
-    if isinstance(shards, ShardedDeployment):
-        deployment = shards
-        shards = deployment.num_shards
-        cut_points = deployment.cut_points
-        if replicas is None and deployment.num_replicas != 1:
-            replicas = deployment.num_replicas
-    if design is None:
-        return PhysicalDesign(
-            shards=int(shards) if shards is not None else 1,
-            cut_points=cut_points,
-            replicas=int(replicas) if replicas is not None else 1,
-            pool_pages=int(pool_pages) if pool_pages is not None else DEFAULT_POOL_PAGES,
-            page_size=int(page_size) if page_size is not None else DEFAULT_PAGE_SIZE,
-        )
-    conflicts = []
-    for name, value, current in (
-        ("shards", shards, design.shards),
-        ("replicas", replicas, design.replicas),
-        ("pool_pages", pool_pages, design.pool_pages),
-        ("page_size", page_size, design.page_size),
-    ):
-        if value is not None and int(value) != current:
-            conflicts.append(f"{name}={value} vs design.{name}={current}")
-    if cut_points is not None and design.cut_points is not None:
-        if tuple(cut_points) != tuple(design.cut_points):
-            conflicts.append("shard cut points differ from the design's")
-    if conflicts:
-        raise DesignError(
-            "contradictory design/keyword combination: " + "; ".join(conflicts)
-            + " (drop the legacy keyword or change the design)"
-        )
     return design

@@ -51,12 +51,10 @@ from repro.core.owner import DataOwner
 from repro.core.pipeline import ExecutionContext, QueryReceipt, ShardLegReceipt
 from repro.core.provider import ServiceProvider, ShardedServiceProvider
 from repro.core.scheme import AuthScheme, register_scheme
-from repro.core.sharding import ShardedDeployment
 from repro.core.trusted_entity import ShardedTrustedEntity, TrustedEntity
 from repro.crypto.digest import Digest, DigestScheme
 from repro.dbms.query import RangeQuery
 from repro.network.messages import QueryRequest, ResultResponse, VTResponse
-from repro.storage.node_store import StorageConfig
 
 
 @dataclass
@@ -134,27 +132,19 @@ class SaeScheme(AuthScheme):
         self,
         dataset: Dataset,
         scheme: Optional[DigestScheme] = None,
-        page_size: Optional[int] = None,
         backend: str = "heap",
         node_access_ms: Optional[float] = None,
         attack: Optional[AttackModel] = None,
         index_fill_factor: float = 1.0,
         max_workers: Optional[int] = None,
-        shards: Optional[Union[int, ShardedDeployment]] = None,
-        replicas: Optional[int] = None,
-        storage: Union[str, StorageConfig] = "memory",
+        storage: str = "memory",
         data_dir: Optional[str] = None,
-        pool_pages: Optional[int] = None,
         design: Optional[PhysicalDesign] = None,
     ):
         self._init_deployment(
             dataset,
             scheme=scheme,
             design=design,
-            shards=shards,
-            replicas=replicas,
-            pool_pages=pool_pages,
-            page_size=page_size,
             storage=storage,
             data_dir=data_dir,
             node_access_ms=node_access_ms,
@@ -167,21 +157,21 @@ class SaeScheme(AuthScheme):
             ShardedServiceProvider,
             attack,
             backend=backend,
-            page_size=self._page_size,
+            page_size=self._design.page_size,
             node_access_ms=node_access_ms,
             index_fill_factor=index_fill_factor,
             storage=self._storage,
         )
         te_options = dict(
             scheme=self._scheme,
-            page_size=self._page_size,
+            page_size=self._design.page_size,
             node_access_ms=node_access_ms,
             storage=self._storage,
         )
         self.trusted_entity: Union[TrustedEntity, ShardedTrustedEntity] = (
             ShardedTrustedEntity(
-                self._deployment.num_shards,
-                cut_points=self._deployment.cut_points,
+                self._design.shards,
+                cut_points=self._design.cut_points,
                 **te_options,
             )
             if self._uses_fleet

@@ -43,12 +43,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.core.dataset import Dataset
-from repro.core.design import (
-    DesignError,
-    PhysicalDesign,
-    design_from_snapshot_params,
-    resolve_design,
-)
+from repro.core.design import PhysicalDesign, design_from_snapshot_params
 from repro.core.pipeline import (
     ExecutionContext,
     QueryReceipt,
@@ -57,7 +52,6 @@ from repro.core.pipeline import (
     ZERO_RECEIPT,
 )
 from repro.core.replication import ReplicaDownError, ReplicaRouter
-from repro.core.sharding import ShardedDeployment
 from repro.core.updates import UpdateBatch
 from repro.crypto.digest import DigestScheme, default_scheme, get_scheme
 from repro.crypto.signatures import CachedVerifier
@@ -198,38 +192,27 @@ class AuthScheme(abc.ABC):
         *,
         scheme: Optional[DigestScheme],
         design: Optional[PhysicalDesign],
-        shards: Any,
-        replicas: Optional[int],
-        pool_pages: Optional[int],
-        page_size: Optional[int],
-        storage: Any,
+        storage: str,
         data_dir: Optional[str],
         node_access_ms: Optional[float],
         index_fill_factor: float,
         max_workers: Optional[int],
     ) -> None:
         """The construction every scheme shares (call it first)."""
-        # ``design`` is the one descriptor of the physical layout; the raw
-        # shards/replicas/pool_pages/page_size keywords are deprecation
-        # shims resolved (and contradiction-checked) against it.
-        try:
-            self._design = resolve_design(
-                design,
-                shards=shards,
-                replicas=replicas,
-                pool_pages=pool_pages,
-                page_size=page_size,
+        # ``design`` is the only layout input: ``storage`` names just the
+        # mode, so the pools run the size the design (and a snapshot) reports.
+        if not isinstance(storage, str):
+            raise SchemeError(
+                f"storage must be a mode string ('memory' or 'paged'), got "
+                f"{type(storage).__name__}; size the pools through design="
             )
-        except DesignError as exc:
-            raise SchemeError(str(exc)) from exc
+        self._design = design or PhysicalDesign()
         self._scheme = scheme or default_scheme()
         self._network = NetworkTracker()
         self._dataset = dataset
-        self._deployment = self._design.deployment()
-        self._storage = StorageConfig.coerce(
-            storage, data_dir, self._design.pool_pages
+        self._storage = StorageConfig(
+            mode=storage, data_dir=data_dir, pool_pages=self._design.pool_pages
         )
-        self._page_size = self._design.page_size
         self._node_access_ms = node_access_ms
         self._index_fill_factor = index_fill_factor
         # A replicated-but-unsharded deployment still runs fleets (of one
@@ -237,14 +220,12 @@ class AuthScheme(abc.ABC):
         # failover bookkeeping (replica / failed_replicas) rides.  Without a
         # fleet a deployment looks unscattered from outside: SP/TE channel
         # names, no legs on the receipt, the client's plain verdict.
-        self._uses_fleet = (
-            self._deployment.is_sharded or self._deployment.is_replicated
-        )
+        self._uses_fleet = self._design.shards > 1 or self._design.replicas > 1
         # Every SP leg walks a replica rotation -- 1x1 when unreplicated and
         # unsharded.  ``_sp_replicas`` lists the SP fleets (primary first)
         # and stays empty for a lone provider, which is no fleet.
         self._replica_router = ReplicaRouter(
-            self._deployment.num_shards, self._deployment.num_replicas
+            self._design.shards, self._design.replicas
         )
         self._sp_replicas: List[Any] = []
         self._ready = False
@@ -273,14 +254,14 @@ class AuthScheme(abc.ABC):
         if not self._uses_fleet:
             self.provider = single(attack=attack, **options)
             return
-        deployment = self._deployment
+        design = self._design
         build = functools.partial(
-            fleet, deployment.num_shards, cut_points=deployment.cut_points, **options
+            fleet, design.shards, cut_points=design.cut_points, **options
         )
         self.provider = build(attack=attack)
         self._sp_replicas = [self.provider] + [
             build(attack=None, component_prefix=f"{self.scheme_name}-r{replica}-sp")
-            for replica in range(1, deployment.num_replicas)
+            for replica in range(1, design.replicas)
         ]
 
     def _adopt_owner(self, owner: Any) -> None:
@@ -314,11 +295,6 @@ class AuthScheme(abc.ABC):
         return self._dataset
 
     @property
-    def deployment(self) -> ShardedDeployment:
-        """The deployment configuration."""
-        return self._deployment
-
-    @property
     def design(self) -> PhysicalDesign:
         """The physical design this deployment was built from."""
         return self._design
@@ -331,12 +307,12 @@ class AuthScheme(abc.ABC):
     @property
     def num_shards(self) -> int:
         """Number of shards in this deployment (1 = unsharded)."""
-        return self._deployment.num_shards
+        return self._design.shards
 
     @property
     def num_replicas(self) -> int:
         """SP replicas per shard (1 = primary only, no standbys)."""
-        return self._deployment.num_replicas
+        return self._design.replicas
 
     @property
     def current_epoch(self) -> int:
@@ -360,7 +336,7 @@ class AuthScheme(abc.ABC):
             self._replica_router.revive(shard, replica)
 
     def _replicated_shards(self, shard_id: Optional[int]) -> Sequence[int]:
-        if not self._deployment.is_replicated:
+        if self._design.replicas == 1:
             raise SchemeError(
                 "kill/revive need a replicated deployment (replicas >= 2)"
             )
@@ -483,7 +459,7 @@ class AuthScheme(abc.ABC):
             return "snapshot() requires a deployment after setup()"
         if not (self._storage.is_paged and self._storage.data_dir):
             return "snapshot() requires storage='paged' with a data_dir"
-        if self._deployment.is_replicated:
+        if self._design.replicas > 1:
             return (
                 "snapshot() snapshots a single (primary) deployment; standbys "
                 "are seeded from the primary's snapshot via serve --replica-of"
@@ -511,10 +487,10 @@ class AuthScheme(abc.ABC):
             state = {
                 "scheme": self.scheme_name,
                 "params": {
-                    "page_size": self._page_size,
+                    "page_size": self._design.page_size,
                     "node_access_ms": self._node_access_ms,
                     "index_fill_factor": self._index_fill_factor,
-                    "shards": self._deployment.num_shards,
+                    "shards": self._design.shards,
                     "digest": self._scheme.name,
                     "design": self._design.to_json_dict(),
                 },
@@ -955,13 +931,14 @@ def _constructor_params(cls: Type[AuthScheme]) -> set:
 class OutsourcedDB:
     """One outsourced-database deployment behind a scheme-agnostic facade.
 
-    ``OutsourcedDB(dataset, scheme="tom", shards=4, key_bits=512)`` resolves
-    the scheme by name through the registry, forwards only the constructor
-    parameters that scheme accepts (so shared CLI flags can be passed
-    uniformly -- ``key_bits`` configures TOM's RSA signer and is simply not
-    a concept SAE has), and delegates the whole lifecycle.  Parameters no
-    registered scheme understands raise :class:`SchemeError` -- a typo must
-    not be silently swallowed.
+    ``OutsourcedDB(dataset, scheme="tom", design=PhysicalDesign(shards=4),
+    key_bits=512)`` resolves the scheme by name through the registry,
+    forwards only the constructor parameters that scheme accepts (so shared
+    CLI flags can be passed uniformly -- ``key_bits`` configures TOM's RSA
+    signer and is simply not a concept SAE has), and delegates the whole
+    lifecycle.  ``design`` is the only layout input.  Parameters no
+    registered scheme understands raise :class:`SchemeError` -- a typo (or
+    a bare ``shards=``) must not be silently swallowed.
 
     A ready-made :class:`AuthScheme` instance may be passed instead of a
     name, in which case no construction happens and extra keyword arguments

@@ -18,8 +18,6 @@ This module holds the pieces shared by both parties:
   outsourced dataset (balanced cuts of the sorted key multiset), so the SP
   and the TE derive identical routers independently, with no coordination
   message beyond the dataset transfer they already receive.
-* :class:`ShardedDeployment` -- the deployment configuration (`--shards N`
-  on the CLI).
 * :func:`partition_dataset` -- split a dataset into per-shard sub-datasets
   according to a router.
 
@@ -42,55 +40,6 @@ from repro.core.updates import DeleteRecord, InsertRecord, ModifyRecord, UpdateB
 
 class ShardingError(ValueError):
     """Raised for invalid shard configurations or routing requests."""
-
-
-@dataclass(frozen=True)
-class ShardedDeployment:
-    """Configuration of a sharded SAE deployment.
-
-    ``num_shards == 1`` is the classic single-provider deployment; larger
-    values range-partition the relation on the query attribute.
-    ``num_replicas`` backs every shard with that many identical service
-    providers (replica 0 is the primary, the rest are warm standbys kept
-    current by signed update batches).  ``cut_points`` fixes the router's
-    inclusive upper shard boundaries *explicitly* (possibly unbalanced, as
-    a workload-driven tuner recommends); ``None`` keeps the historical
-    balanced-from-dataset cuts.
-    """
-
-    num_shards: int = 1
-    num_replicas: int = 1
-    cut_points: Optional[tuple] = None
-
-    def __post_init__(self) -> None:
-        if self.num_shards < 1:
-            raise ShardingError(
-                f"a deployment needs at least one shard, got {self.num_shards}"
-            )
-        if self.num_replicas < 1:
-            raise ShardingError(
-                f"a deployment needs at least one replica, got {self.num_replicas}"
-            )
-        if self.cut_points is not None:
-            cuts = tuple(self.cut_points)
-            object.__setattr__(self, "cut_points", cuts)
-            if len(cuts) != self.num_shards - 1:
-                raise ShardingError(
-                    f"{self.num_shards} shard(s) need {self.num_shards - 1} "
-                    f"cut point(s), got {len(cuts)}"
-                )
-            if list(cuts) != sorted(cuts):
-                raise ShardingError("shard cut points must be sorted")
-
-    @property
-    def is_sharded(self) -> bool:
-        """Whether more than one shard is configured."""
-        return self.num_shards > 1
-
-    @property
-    def is_replicated(self) -> bool:
-        """Whether each shard has at least one standby replica."""
-        return self.num_replicas > 1
 
 
 class ShardRouter:

@@ -43,6 +43,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, List, Sequence, Tuple
 
+from repro.experiments.throughput import drive_closed_loop
 from repro.metrics.reporting import format_table
 
 
@@ -130,60 +131,6 @@ def _percentile(values: Sequence[float], percent: float) -> float:
 
 
 # --------------------------------------------------------------------- worker
-async def _drive_fleet(
-    router: Any,
-    bounds: Sequence[Tuple[Any, Any]],
-    num_clients: int,
-    mode: str,
-    batch_size: int,
-    verify: bool,
-) -> Tuple[List[Any], List[float], float]:
-    """Closed-loop drive of one worker's workload slice against the router."""
-    work: List[Tuple[Any, Any]] = list(bounds)
-    cursor = {"next": 0}
-    latencies: List[float] = []
-    outcomes_per_client: List[List[Any]] = [[] for _ in range(num_clients)]
-
-    def drain(limit: int) -> List[Tuple[Any, Any]]:
-        start = cursor["next"]
-        taken = work[start:start + limit]
-        cursor["next"] = start + len(taken)
-        return taken
-
-    async def client_loop(slot: int) -> None:
-        sink = outcomes_per_client[slot]
-        while True:
-            if mode == "per-query":
-                batch = drain(1)
-                if not batch:
-                    return
-                started = time.perf_counter()
-                sink.append(await router.query(batch[0][0], batch[0][1], verify=verify))
-                elapsed_ms = (time.perf_counter() - started) * 1000.0
-                latencies.append(elapsed_ms)
-            else:
-                batch = drain(batch_size)
-                if not batch:
-                    return
-                started = time.perf_counter()
-                sink.extend(await router.query_many(batch, verify=verify))
-                elapsed_ms = (time.perf_counter() - started) * 1000.0
-                latencies.extend(elapsed_ms for _ in batch)
-
-    started = time.perf_counter()
-    tasks = [asyncio.ensure_future(client_loop(slot)) for slot in range(num_clients)]
-    try:
-        await asyncio.gather(*tasks)
-    except BaseException:
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
-        raise
-    duration_s = time.perf_counter() - started
-    outcomes = [outcome for sink in outcomes_per_client for outcome in sink]
-    return outcomes, latencies, duration_s
-
-
 def _worker_entry(
     worker_id: int,
     base_dir: str,
@@ -223,8 +170,10 @@ def _worker_entry(
                 # the fleet is reachable before the measured window starts.
                 await router.ping_all()
                 start_barrier.wait()
-                outcomes, latencies, duration_s = await _drive_fleet(
-                    router, bounds, num_clients, mode, batch_size, verify
+                latencies: List[float] = []
+                outcomes, duration_s = await drive_closed_loop(
+                    router, bounds, num_clients, mode, batch_size, verify,
+                    latencies.append,
                 )
             finally:
                 await router.aclose()

@@ -29,6 +29,7 @@ import tempfile
 from dataclasses import dataclass
 from typing import List, Sequence
 
+from repro.core.design import PhysicalDesign
 from repro.experiments.distributed_load import run_distributed_load
 from repro.metrics.reporting import format_table
 from repro.network.fleet import FleetManager, build_fleet
@@ -89,9 +90,9 @@ def run_fleet_bench(
         with tempfile.TemporaryDirectory(prefix="repro-fleet-bench-") as base_dir:
             build_fleet(
                 dataset,
-                processes,
                 base_dir,
                 scheme=scheme,
+                design=PhysicalDesign(shards=processes),
                 key_bits=key_bits,
                 seed=seed,
             )

@@ -113,7 +113,9 @@ def run_migration_bench(
     key_index = dataset.schema.key_index
 
     with tempfile.TemporaryDirectory(prefix="repro-migration-") as base:
-        build_fleet(dataset, 2, base, scheme="sae", seed=seed)
+        build_fleet(
+            dataset, base, scheme="sae", design=PhysicalDesign(shards=2), seed=seed
+        )
         with FleetManager(base, restart=True, health_interval_s=0.2) as manager:
             pre_outcomes = _query_all(manager, bounds)
             trace = Trace(

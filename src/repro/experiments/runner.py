@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from repro.core.design import PhysicalDesign
 from repro.core.protocol import SaeScheme
 from repro.crypto.digest import get_scheme
 from repro.experiments.config import ExperimentConfig
@@ -95,10 +96,11 @@ def measure_point(config: ExperimentConfig, distribution: str, cardinality: int,
         attribute=dataset.schema.key_column,
     )
 
+    design = PhysicalDesign(page_size=config.page_size)
     sae = SaeScheme(
         dataset,
         scheme=scheme,
-        page_size=config.page_size,
+        design=design,
         node_access_ms=config.node_access_ms,
     ).setup()
     tom: Optional[TomScheme] = None
@@ -106,7 +108,7 @@ def measure_point(config: ExperimentConfig, distribution: str, cardinality: int,
         tom = TomScheme(
             dataset,
             scheme=scheme,
-            page_size=config.page_size,
+            design=design,
             node_access_ms=config.node_access_ms,
             key_bits=config.rsa_key_bits,
             seed=config.seed,

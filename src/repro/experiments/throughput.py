@@ -39,11 +39,12 @@ And two transports:
 from __future__ import annotations
 
 import asyncio
+import functools
 import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.core.scheme import AuthScheme
 from repro.metrics.collector import MetricsCollector
@@ -171,24 +172,23 @@ def _run_load_threads(
     return [outcome for sink in outcomes_per_client for outcome in sink], duration_s
 
 
-async def _drive_tcp(
-    host: str,
-    port: int,
+async def drive_closed_loop(
+    client: Any,
     bounds: Sequence[Tuple[Any, Any]],
     num_clients: int,
     mode: str,
     batch_size: int,
     verify: bool,
-    latency: Any,
+    record: Callable[[float], None],
 ) -> Tuple[List[Any], float]:
-    """The TCP transport: one closed-loop asyncio task per client.
+    """One closed-loop asyncio task per client, all sharing ``client``.
 
-    All tasks share one pooled :class:`RemoteSchemeClient` whose admission
-    semaphore equals the client count, so at most ``num_clients`` requests
-    are ever in flight -- the same concurrency the thread transport offers.
+    ``client`` is any async query client (a pooled
+    :class:`~repro.network.client.RemoteSchemeClient`, a fleet router);
+    ``record(ms)`` receives every served query's latency.  Outcomes come
+    back in per-client concatenation order (client 0's first), the order a
+    recorded trace keeps.
     """
-    from repro.network.client import RemoteSchemeClient
-
     work: List[Tuple[Any, Any]] = list(bounds)
     cursor = {"next": 0}
 
@@ -200,47 +200,67 @@ async def _drive_tcp(
 
     outcomes_per_client: List[List[Any]] = [[] for _ in range(num_clients)]
 
+    async def client_loop(slot: int) -> None:
+        sink = outcomes_per_client[slot]
+        while True:
+            if mode == "per-query":
+                batch = drain(1)
+                if not batch:
+                    return
+                started = time.perf_counter()
+                sink.append(await client.query(batch[0][0], batch[0][1], verify=verify))
+                record((time.perf_counter() - started) * 1000.0)
+            else:
+                batch = drain(batch_size)
+                if not batch:
+                    return
+                started = time.perf_counter()
+                sink.extend(await client.query_many(batch, verify=verify))
+                elapsed_ms = (time.perf_counter() - started) * 1000.0
+                for _ in batch:
+                    record(elapsed_ms)
+
+    started = time.perf_counter()
+    tasks = [asyncio.ensure_future(client_loop(slot)) for slot in range(num_clients)]
+    try:
+        await asyncio.gather(*tasks)
+    except BaseException:
+        # Cancel the siblings before the client is torn down, so their
+        # aborted sockets don't surface as unhandled shutdown errors
+        # burying the first (real) failure.
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        raise
+    duration_s = time.perf_counter() - started
+    return [outcome for sink in outcomes_per_client for outcome in sink], duration_s
+
+
+async def _drive_tcp(
+    host: str,
+    port: int,
+    bounds: Sequence[Tuple[Any, Any]],
+    num_clients: int,
+    mode: str,
+    batch_size: int,
+    verify: bool,
+    latency: Any,
+) -> Tuple[List[Any], float]:
+    """The TCP transport: the closed loop over one pooled client.
+
+    The :class:`RemoteSchemeClient`'s admission semaphore equals the client
+    count, so at most ``num_clients`` requests are ever in flight -- the
+    same concurrency the thread transport offers.
+    """
+    from repro.network.client import RemoteSchemeClient
+
     async with RemoteSchemeClient(
         host, port, pool_size=num_clients, max_in_flight=num_clients
     ) as client:
-
-        async def client_loop(slot: int) -> None:
-            sink = outcomes_per_client[slot]
-            while True:
-                if mode == "per-query":
-                    batch = drain(1)
-                    if not batch:
-                        return
-                    started = time.perf_counter()
-                    sink.append(await client.query(batch[0][0], batch[0][1], verify=verify))
-                    elapsed_ms = (time.perf_counter() - started) * 1000.0
-                    latency.record(num_clients, elapsed_ms)
-                else:
-                    batch = drain(batch_size)
-                    if not batch:
-                        return
-                    started = time.perf_counter()
-                    sink.extend(await client.query_many(batch, verify=verify))
-                    elapsed_ms = (time.perf_counter() - started) * 1000.0
-                    for _ in batch:
-                        latency.record(num_clients, elapsed_ms)
-
-        started = time.perf_counter()
-        tasks = [
-            asyncio.ensure_future(client_loop(slot)) for slot in range(num_clients)
-        ]
-        try:
-            await asyncio.gather(*tasks)
-        except BaseException:
-            # Cancel the siblings before the pool is torn down, so their
-            # aborted sockets don't surface as unhandled shutdown errors
-            # burying the first (real) failure.
-            for task in tasks:
-                task.cancel()
-            await asyncio.gather(*tasks, return_exceptions=True)
-            raise
-        duration_s = time.perf_counter() - started
-    return [outcome for sink in outcomes_per_client for outcome in sink], duration_s
+        return await drive_closed_loop(
+            client, bounds, num_clients, mode, batch_size, verify,
+            functools.partial(latency.record, num_clients),
+        )
 
 
 def run_load(

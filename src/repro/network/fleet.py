@@ -279,12 +279,10 @@ class FleetManifest:
 
 def build_fleet(
     dataset: Any,
-    num_shards: Optional[int] = None,
-    base_dir: Union[str, Path, None] = None,
+    base_dir: Union[str, Path],
     scheme: str = "sae",
-    replicas: Optional[int] = None,
-    pool_pages: Optional[int] = None,
-    design: Optional[PhysicalDesign] = None,
+    *,
+    design: PhysicalDesign,
     **scheme_kwargs: Any,
 ) -> FleetManifest:
     """Partition ``dataset`` and ship one snapshot per shard child.
@@ -292,29 +290,16 @@ def build_fleet(
     Each shard becomes an independent single-shard deployment of
     ``scheme`` under the paged storage tier: outsourced, snapshotted and
     closed, ready for a ``repro serve --data-dir`` child to warm-restart
-    it.  With ``replicas > 1`` every shard's snapshot directory is copied
-    per standby (snapshot shipping), so each replica child serves its own
-    files.  ``design`` fixes the whole physical layout -- including
+    it.  With ``design.replicas > 1`` every shard's snapshot directory is
+    copied per standby (snapshot shipping), so each replica child serves
+    its own files.  ``design`` fixes the whole physical layout -- including
     *explicit* (possibly unbalanced) cut points, which are honoured
     verbatim instead of the balanced quantile cuts -- and is persisted in
-    the manifest so ``serve-fleet`` serves exactly what was built.  The
-    legacy ``num_shards`` / ``replicas`` / ``pool_pages`` arguments remain
-    as shims; repeating one alongside ``design`` with a *different* value
-    raises.  Returns the saved :class:`FleetManifest`.
+    the manifest so ``serve-fleet`` serves exactly what was built.
+    Returns the saved :class:`FleetManifest`.
     """
     from repro.core import OutsourcedDB
-    from repro.core.design import DesignError, resolve_design
 
-    if design is None and num_shards is None:
-        raise FleetError("build_fleet needs num_shards or a design")
-    if base_dir is None:
-        raise FleetError("build_fleet needs a base_dir")
-    try:
-        design = resolve_design(
-            design, shards=num_shards, replicas=replicas, pool_pages=pool_pages
-        )
-    except DesignError as exc:
-        raise FleetError(str(exc)) from exc
     base = Path(base_dir)
     if has_fleet(base):
         raise FleetError(

@@ -616,18 +616,6 @@ class StorageConfig:
         """Whether trees go through the buffer pool."""
         return self.mode == "paged"
 
-    @classmethod
-    def coerce(
-        cls,
-        storage: Any = "memory",
-        data_dir: Optional[str] = None,
-        pool_pages: int = 128,
-    ) -> "StorageConfig":
-        """Accept a ready-made config or the scheme-level keyword triple."""
-        if isinstance(storage, StorageConfig):
-            return storage
-        return cls(mode=str(storage), data_dir=data_dir, pool_pages=pool_pages)
-
     def _path(self, name: str, suffix: str) -> Optional[str]:
         if self.data_dir is None:
             return None

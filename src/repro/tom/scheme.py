@@ -12,7 +12,7 @@ TOM's own is the proof:
 
 * the SP answers with the result records plus a verification object built
   from its MB-tree, sized through a cross-query record memo;
-* under ``shards=N`` every shard keeps its own MB-tree whose root the DO
+* in a sharded design every shard keeps its own MB-tree whose root the DO
   signs individually, and every leg's (result, VO) pair is verified against
   its shard signature -- pinpointing a tampering shard while the honest
   legs still verify -- while the merged receipt equals the **sum of the
@@ -27,19 +27,17 @@ verified result and a zero-cost receipt, identically to SAE.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.attacks import AttackModel
 from repro.core.dataset import Dataset
 from repro.core.design import PhysicalDesign
 from repro.core.pipeline import CostReceipt, ExecutionContext, QueryReceipt, ZERO_RECEIPT
 from repro.core.scheme import AuthScheme, register_scheme
-from repro.core.sharding import ShardedDeployment
 from repro.crypto.digest import DigestScheme, RecordMemo
 from repro.crypto.signatures import CachedVerifier
 from repro.dbms.query import RangeQuery
 from repro.network.messages import ResultResponse, VOResponse
-from repro.storage.node_store import StorageConfig
 from repro.tom.entities import (
     ShardedTomServiceProvider,
     TomClient,
@@ -151,18 +149,14 @@ class TomScheme(AuthScheme):
         self,
         dataset: Dataset,
         scheme: Optional[DigestScheme] = None,
-        page_size: Optional[int] = None,
         node_access_ms: Optional[float] = None,
         attack: Optional[AttackModel] = None,
         key_bits: int = 1024,
         seed: Optional[int] = 2009,
         index_fill_factor: float = 1.0,
         max_workers: Optional[int] = None,
-        shards: Optional[Union[int, ShardedDeployment]] = None,
-        replicas: Optional[int] = None,
-        storage: Union[str, StorageConfig] = "memory",
+        storage: str = "memory",
         data_dir: Optional[str] = None,
-        pool_pages: Optional[int] = None,
         signer=None,
         verifier=None,
         start_epoch: int = 0,
@@ -172,10 +166,6 @@ class TomScheme(AuthScheme):
             dataset,
             scheme=scheme,
             design=design,
-            shards=shards,
-            replicas=replicas,
-            pool_pages=pool_pages,
-            page_size=page_size,
             storage=storage,
             data_dir=data_dir,
             node_access_ms=node_access_ms,
@@ -187,7 +177,7 @@ class TomScheme(AuthScheme):
             ShardedTomServiceProvider,
             attack,
             scheme=self._scheme,
-            page_size=self._page_size,
+            page_size=self._design.page_size,
             node_access_ms=node_access_ms,
             index_fill_factor=index_fill_factor,
             storage=self._storage,

@@ -20,6 +20,7 @@ import time
 
 import pytest
 
+from repro.core.design import PhysicalDesign
 from repro.core.updates import UpdateBatch
 from repro.experiments.distributed_load import run_distributed_load
 from repro.network.fleet import (
@@ -47,7 +48,7 @@ def fleet_dataset():
 def sae_fleet(fleet_dataset, tmp_path_factory):
     """One 2-shard SAE fleet shared by the read-path tests (updates last)."""
     base = tmp_path_factory.mktemp("sae-fleet")
-    build_fleet(fleet_dataset, 2, base, scheme="sae", seed=3)
+    build_fleet(fleet_dataset, base, scheme="sae", design=PhysicalDesign(shards=2), seed=3)
     with FleetManager(base, restart=False) as manager:
         yield fleet_dataset, base, manager
 
@@ -168,7 +169,7 @@ class TestFleetQueries:
 
 class TestFleetFailures:
     def test_killed_child_is_pinpointed_by_shard(self, fleet_dataset, tmp_path):
-        build_fleet(fleet_dataset, 2, tmp_path, scheme="sae", seed=3)
+        build_fleet(fleet_dataset, tmp_path, scheme="sae", design=PhysicalDesign(shards=2), seed=3)
         low, high = _range_covering(fleet_dataset, fraction=0.9)
         with FleetManager(tmp_path, restart=False) as manager:
             manager.kill_child(1, 0)
@@ -191,7 +192,10 @@ class TestFleetFailures:
     def test_replica_failover_mid_load_zero_corrupted_receipts(
         self, fleet_dataset, tmp_path
     ):
-        build_fleet(fleet_dataset, 2, tmp_path, scheme="sae", replicas=2, seed=3)
+        build_fleet(
+            fleet_dataset, tmp_path, scheme="sae",
+            design=PhysicalDesign(shards=2, replicas=2), seed=3,
+        )
         keys = sorted(fleet_dataset.keys())
         bounds = [(keys[i * 9], keys[i * 9 + 30]) for i in range(40)]
         with FleetManager(tmp_path, restart=False) as manager:
@@ -226,7 +230,7 @@ class TestFleetFailures:
         assert failovers
 
     def test_supervisor_restarts_crashed_child(self, fleet_dataset, tmp_path):
-        build_fleet(fleet_dataset, 2, tmp_path, scheme="sae", seed=3)
+        build_fleet(fleet_dataset, tmp_path, scheme="sae", design=PhysicalDesign(shards=2), seed=3)
         low, high = _range_covering(fleet_dataset)
         with FleetManager(tmp_path, restart=True) as manager:
             first_pid = manager.child(0, 0).pid
@@ -249,7 +253,7 @@ class TestFleetFailures:
             assert outcome.receipt.matches_leg_sums()
 
     def test_sigterm_drains_children_to_exit_zero(self, fleet_dataset, tmp_path):
-        build_fleet(fleet_dataset, 2, tmp_path, scheme="sae", seed=3)
+        build_fleet(fleet_dataset, tmp_path, scheme="sae", design=PhysicalDesign(shards=2), seed=3)
         manager = FleetManager(tmp_path, restart=False)
         manager.start()
         low, high = _range_covering(fleet_dataset)
@@ -319,7 +323,10 @@ class TestFleetFailures:
 
 class TestTomFleet:
     def test_tom_fleet_end_to_end(self, fleet_dataset, tmp_path):
-        build_fleet(fleet_dataset, 2, tmp_path, scheme="tom", key_bits=512, seed=3)
+        build_fleet(
+            fleet_dataset, tmp_path, scheme="tom",
+            design=PhysicalDesign(shards=2), key_bits=512, seed=3,
+        )
         manifest = FleetManifest.load(tmp_path)
         assert manifest.scheme == "tom"
         low, high = _range_covering(fleet_dataset)
@@ -352,8 +359,6 @@ class TestSkewedCutPoints:
     """
 
     def _skewed_design(self, dataset):
-        from repro.core.design import PhysicalDesign
-
         keys = sorted(dataset.keys())
         # Deliberately unbalanced: shard 0 owns only the bottom tenth.
         cuts = (keys[len(keys) // 10], keys[len(keys) // 2])

@@ -12,6 +12,7 @@ import struct
 import pytest
 
 from repro.core import OutsourcedDB
+from repro.core.design import PhysicalDesign
 from repro.crypto.encoding import decode_record, encode_record
 from repro.workloads import build_dataset
 
@@ -105,7 +106,7 @@ def test_sharded_leg_pinpoints_the_shard_that_sent_malformed_bytes(
     monkeypatch, dataset, defect
 ):
     rewrite, fragment = DEFECTS[defect]
-    with OutsourcedDB(dataset, scheme="sae", shards=3).setup() as db:
+    with OutsourcedDB(dataset, scheme="sae", design=PhysicalDesign(shards=3)).setup() as db:
         victim = 1
         install(monkeypatch, db.provider.shard(victim), rewrite)
         for outcome in [db.query(*FULL)] + db.query_many([FULL]):

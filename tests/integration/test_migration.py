@@ -100,7 +100,9 @@ def _full_scan(manager, keys):
 
 class TestLiveMigration:
     def test_migrate_under_load_zero_failures(self, migration_dataset, tmp_path):
-        build_fleet(migration_dataset, 2, tmp_path, scheme="sae", seed=3)
+        build_fleet(
+            migration_dataset, tmp_path, scheme="sae", design=PhysicalDesign(shards=2), seed=3
+        )
         keys = sorted(migration_dataset.keys())
         target = _target_design(migration_dataset, pool_pages=48)
         with FleetManager(tmp_path, restart=True, health_interval_s=0.2) as manager:
@@ -126,7 +128,9 @@ class TestLiveMigration:
             assert scanned == sorted(scanned)
 
     def test_rerun_after_completion_is_noop(self, migration_dataset, tmp_path):
-        build_fleet(migration_dataset, 2, tmp_path, scheme="sae", seed=3)
+        build_fleet(
+            migration_dataset, tmp_path, scheme="sae", design=PhysicalDesign(shards=2), seed=3
+        )
         target = _target_design(migration_dataset)
         with FleetManager(tmp_path, restart=True, health_interval_s=0.2) as manager:
             assert not FleetMigrator(manager, target).run().noop
@@ -139,7 +143,9 @@ class TestMigrationFaultInjection:
     def test_sigkill_mid_migration_recovers_and_completes(
         self, migration_dataset, tmp_path
     ):
-        build_fleet(migration_dataset, 2, tmp_path, scheme="sae", seed=3)
+        build_fleet(
+            migration_dataset, tmp_path, scheme="sae", design=PhysicalDesign(shards=2), seed=3
+        )
         keys = sorted(migration_dataset.keys())
         target = _target_design(migration_dataset, pool_pages=48)
         killed = threading.Event()
@@ -182,7 +188,9 @@ class TestStaleRouterFollowsFlip:
         # Regression: a router built against the pre-migration manifest
         # must notice the flipped fleet.pkl via the epoch watermark and
         # re-read it -- without being recreated or reconnecting.
-        build_fleet(migration_dataset, 2, tmp_path, scheme="sae", seed=3)
+        build_fleet(
+            migration_dataset, tmp_path, scheme="sae", design=PhysicalDesign(shards=2), seed=3
+        )
         keys = sorted(migration_dataset.keys())
         key_index = migration_dataset.schema.key_index
         target = _target_design(migration_dataset)
@@ -234,7 +242,9 @@ class TestMigrationPlanAgainstManifest:
     def test_plan_is_computed_from_the_served_manifest(
         self, migration_dataset, tmp_path
     ):
-        build_fleet(migration_dataset, 2, tmp_path, scheme="sae", seed=3)
+        build_fleet(
+            migration_dataset, tmp_path, scheme="sae", design=PhysicalDesign(shards=2), seed=3
+        )
         from repro.network.fleet import FleetManifest
 
         manifest = FleetManifest.load(tmp_path)

@@ -13,6 +13,7 @@ import asyncio
 import pytest
 
 from repro.core import OutsourcedDB, UpdateBatch
+from repro.core.design import PhysicalDesign
 from repro.experiments.throughput import run_load
 from repro.network import wire
 from repro.network.client import (
@@ -34,7 +35,7 @@ def dataset():
 
 def _deploy(dataset, scheme: str, shards: int = 1) -> OutsourcedDB:
     return OutsourcedDB(
-        dataset, scheme=scheme, shards=shards, **SCHEME_KWARGS[scheme]
+        dataset, scheme=scheme, design=PhysicalDesign(shards=shards), **SCHEME_KWARGS[scheme]
     ).setup()
 
 

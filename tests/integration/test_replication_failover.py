@@ -14,6 +14,7 @@ import time
 import pytest
 
 from repro.core import OutsourcedDB
+from repro.core.design import PhysicalDesign
 from repro.experiments.throughput import run_load
 from repro.metrics.collector import MetricsCollector
 from repro.workloads.queries import RangeQueryWorkload
@@ -28,7 +29,10 @@ KILL_AFTER_OUTCOMES = 10
 @pytest.mark.parametrize("scheme", ["sae", "tom"])
 def test_kill_shard_primary_mid_load(small_dataset, scheme):
     system = OutsourcedDB(
-        small_dataset, scheme=scheme, shards=2, replicas=2, **SCHEME_KWARGS[scheme]
+        small_dataset,
+        scheme=scheme,
+        design=PhysicalDesign(shards=2, replicas=2),
+        **SCHEME_KWARGS[scheme],
     ).setup()
     workload = RangeQueryWorkload(
         count=120, seed=13, attribute=small_dataset.schema.key_column

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import SaeScheme
+from repro.core.design import PhysicalDesign
 from repro.crypto.digest import SHA256
 from repro.workloads.queries import RangeQueryWorkload
 
@@ -92,7 +93,7 @@ class TestAlternativeConfigurations:
         assert outcome.sp_cost_ms == outcome.sp_accesses * 1.0
 
     def test_smaller_pages(self, small_dataset):
-        system = SaeScheme(small_dataset, page_size=1024).setup()
+        system = SaeScheme(small_dataset, design=PhysicalDesign(page_size=1024)).setup()
         assert system.query(0, 4_000_000).verified
 
     def test_storage_report_shape(self, sae_system, small_dataset):

@@ -17,6 +17,7 @@ from repro.core import (
     UpdateBatch,
 )
 from repro.core.dataset import Dataset
+from repro.core.design import PhysicalDesign
 from repro.workloads import build_dataset
 from repro.workloads.datasets import DATASET_SCHEMA
 
@@ -35,7 +36,7 @@ def single(dataset):
 
 @pytest.fixture(scope="module")
 def sharded(dataset):
-    return SaeScheme(dataset, shards=NUM_SHARDS).setup()
+    return SaeScheme(dataset, design=PhysicalDesign(shards=NUM_SHARDS)).setup()
 
 
 def some_bounds(system):
@@ -136,7 +137,7 @@ class TestTamperedShard:
         ids=["drop", "inject", "modify"],
     )
     def test_single_tampered_shard_rejected_others_verify(self, dataset, attack):
-        system = SaeScheme(dataset, shards=NUM_SHARDS).setup()
+        system = SaeScheme(dataset, design=PhysicalDesign(shards=NUM_SHARDS)).setup()
         victim = 2
         system.provider.set_shard_attack(victim, attack)
         outcome = system.query(0, 10_000_000)
@@ -152,12 +153,12 @@ class TestTamperedShard:
         assert system.query(0, 10_000_000).verified
 
     def test_fleet_wide_attack_rejected(self, dataset):
-        system = SaeScheme(dataset, shards=NUM_SHARDS).setup()
+        system = SaeScheme(dataset, design=PhysicalDesign(shards=NUM_SHARDS)).setup()
         system.provider.attack = DropAttack(count=1, seed=3)
         assert not system.query(0, 10_000_000).verified
 
     def test_tamper_in_unqueried_shard_is_invisible(self, dataset):
-        system = SaeScheme(dataset, shards=NUM_SHARDS).setup()
+        system = SaeScheme(dataset, design=PhysicalDesign(shards=NUM_SHARDS)).setup()
         system.provider.set_shard_attack(3, DropAttack(count=1, seed=1))
         router = system.provider.router
         outcome = system.query(0, router.boundaries[0])  # shard 0 only
@@ -169,7 +170,7 @@ class TestShardedUpdates:
         """Two independent deployments over identical dataset copies."""
         single = SaeScheme(build_dataset(600, record_size=96, seed=23)).setup()
         sharded = SaeScheme(
-            build_dataset(600, record_size=96, seed=23), shards=NUM_SHARDS
+            build_dataset(600, record_size=96, seed=23), design=PhysicalDesign(shards=NUM_SHARDS)
         ).setup()
         return single, sharded
 
@@ -218,7 +219,7 @@ class TestDegenerateShapes:
         # shard owns data; scattered queries must still verify.
         records = [(i, 5_000, bytes([i % 256]) * 8) for i in range(64)]
         dataset = Dataset(schema=DATASET_SCHEMA, records=records, name="clustered")
-        system = SaeScheme(dataset, shards=NUM_SHARDS).setup()
+        system = SaeScheme(dataset, design=PhysicalDesign(shards=NUM_SHARDS)).setup()
         assert system.provider.records_per_shard()[0] == 64
         assert sum(system.provider.records_per_shard()) == 64
         outcome = system.query(0, 10_000)
@@ -228,14 +229,14 @@ class TestDegenerateShapes:
     def test_more_shards_than_records(self):
         records = [(1, 10, b"a"), (2, 20, b"b")]
         dataset = Dataset(schema=DATASET_SCHEMA, records=records, name="tiny")
-        system = SaeScheme(dataset, shards=8).setup()
+        system = SaeScheme(dataset, design=PhysicalDesign(shards=8)).setup()
         outcome = system.query(0, 100)
         assert outcome.cardinality == 2
         assert outcome.verified
 
     def test_sqlite_backend_sharded(self):
         dataset = build_dataset(400, record_size=64, seed=5)
-        system = SaeScheme(dataset, backend="sqlite", shards=3).setup()
+        system = SaeScheme(dataset, backend="sqlite", design=PhysicalDesign(shards=3)).setup()
         outcome = system.query(0, 10_000_000)
         assert outcome.cardinality == 400
         assert outcome.verified

@@ -8,6 +8,7 @@ are identical before and after migration.
 
 import pickle
 
+from repro.core.design import PhysicalDesign
 from repro.core.scheme import OutsourcedDB, restore_deployment
 from repro.dbms.query import RangeQuery
 from repro.storage import node_store as node_store_module
@@ -32,7 +33,7 @@ def _pickled_page_deployment(tmp_path, monkeypatch, scheme):
         seed=11,
         storage="paged",
         data_dir=str(tmp_path),
-        pool_pages=POOL_PAGES,
+        design=PhysicalDesign(pool_pages=POOL_PAGES),
     ).setup()
 
 

@@ -19,6 +19,7 @@ import pickle
 import pytest
 
 from repro.core import DropAttack, OutsourcedDB, UpdateBatch
+from repro.core.design import PhysicalDesign
 from repro.core.scheme import SchemeError, has_snapshot, restore_deployment
 from repro.workloads import build_dataset
 
@@ -62,13 +63,13 @@ def _outcome_fingerprint(outcome):
 @pytest.mark.parametrize("shards", [1, 3])
 def test_paged_matches_memory_for_queries_and_updates(tmp_path, scheme, shards):
     dataset = _dataset()
-    kwargs = dict(scheme=scheme, key_bits=512, seed=11, shards=shards)
-    memory = OutsourcedDB(_dataset(), **kwargs).setup()
+    kwargs = dict(scheme=scheme, key_bits=512, seed=11)
+    memory = OutsourcedDB(_dataset(), design=PhysicalDesign(shards=shards), **kwargs).setup()
     paged = OutsourcedDB(
         dataset,
         storage="paged",
         data_dir=str(tmp_path / f"{scheme}{shards}"),
-        pool_pages=POOL_PAGES,
+        design=PhysicalDesign(shards=shards, pool_pages=POOL_PAGES),
         **kwargs,
     ).setup()
     with memory, paged:
@@ -99,10 +100,10 @@ def test_pool_is_smaller_than_the_dataset_and_receipts_expose_it(tmp_path, schem
         scheme=scheme,
         key_bits=512,
         seed=11,
-        page_size=512,  # low fanout: the tree spans many more nodes than the pool
+        # low fanout: the tree spans many more nodes than the pool
+        design=PhysicalDesign(page_size=512, pool_pages=POOL_PAGES),
         storage="paged",
         data_dir=str(tmp_path),
-        pool_pages=POOL_PAGES,
     ).setup()
     with paged:
         provider = paged.provider
@@ -136,10 +137,9 @@ def test_snapshot_restore_serves_identical_verified_results(tmp_path, scheme, sh
         scheme=scheme,
         key_bits=512,
         seed=11,
-        shards=shards,
+        design=PhysicalDesign(shards=shards, pool_pages=POOL_PAGES),
         storage="paged",
         data_dir=data_dir,
-        pool_pages=POOL_PAGES,
     ).setup()
     system.apply_updates(_update_batch(system.dataset))
     before = [system.query(low, high) for low, high in BOUNDS]
@@ -176,7 +176,7 @@ def test_restored_deployment_accepts_updates_and_detects_tampering(tmp_path):
         seed=11,
         storage="paged",
         data_dir=data_dir,
-        pool_pages=POOL_PAGES,
+        design=PhysicalDesign(pool_pages=POOL_PAGES),
     ).setup()
     system.snapshot()
     system.close()
@@ -203,7 +203,7 @@ def test_restored_deployment_serves_over_tcp(tmp_path):
         seed=11,
         storage="paged",
         data_dir=data_dir,
-        pool_pages=POOL_PAGES,
+        design=PhysicalDesign(pool_pages=POOL_PAGES),
     ).setup()
     system.snapshot()
     system.close()
@@ -233,7 +233,7 @@ def test_clean_close_checkpoints_updates_made_after_the_snapshot(tmp_path):
         seed=11,
         storage="paged",
         data_dir=data_dir,
-        pool_pages=POOL_PAGES,
+        design=PhysicalDesign(pool_pages=POOL_PAGES),
     ).setup()
     system.snapshot()
     system.apply_updates(
@@ -257,7 +257,7 @@ def test_sqlite_backend_snapshot_raises_scheme_error(tmp_path):
         backend="sqlite",
         storage="paged",
         data_dir=str(tmp_path),
-        pool_pages=POOL_PAGES,
+        design=PhysicalDesign(pool_pages=POOL_PAGES),
     ).setup()
     with pytest.raises(SchemeError):
         system.snapshot()
@@ -270,7 +270,8 @@ def test_snapshot_requires_the_paged_tier(tmp_path):
         with pytest.raises(SchemeError):
             memory.snapshot()
     volatile = OutsourcedDB(
-        _dataset(), scheme="sae", seed=11, storage="paged", pool_pages=POOL_PAGES
+        _dataset(), scheme="sae", seed=11, storage="paged",
+        design=PhysicalDesign(pool_pages=POOL_PAGES),
     ).setup()
     with volatile:
         with pytest.raises(SchemeError):
@@ -279,7 +280,7 @@ def test_snapshot_requires_the_paged_tier(tmp_path):
         restore_deployment(str(tmp_path / "empty"))
 
 
-def _paged_500(tmp_path, scheme, **kwargs):
+def _paged_500(tmp_path, scheme, replicas=1, **kwargs):
     return OutsourcedDB(
         build_dataset(500, record_size=64, seed=5),
         scheme=scheme,
@@ -287,7 +288,7 @@ def _paged_500(tmp_path, scheme, **kwargs):
         seed=7,
         storage="paged",
         data_dir=str(tmp_path),
-        pool_pages=POOL_PAGES,
+        design=PhysicalDesign(replicas=replicas, pool_pages=POOL_PAGES),
         **kwargs,
     ).setup()
 

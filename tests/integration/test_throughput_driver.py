@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core import SaeScheme
+from repro.core.design import PhysicalDesign
 from repro.experiments.throughput import LoadReport, format_load_reports, run_load
 from repro.tom.scheme import TomScheme
 from repro.workloads.queries import RangeQueryWorkload
@@ -83,7 +84,8 @@ class TestRunLoadTom:
             (keys[position], keys[min(position + 3 * step, len(keys) - 1)])
             for position in range(0, len(keys) - 3 * step, step)
         ]
-        with TomScheme(small_dataset, key_bits=512, seed=43, shards=3).setup() as system:
+        design = PhysicalDesign(shards=3)
+        with TomScheme(small_dataset, key_bits=512, seed=43, design=design).setup() as system:
             report = run_load(system, scan_bounds, num_clients=8, mode="per-query")
         assert report.all_verified
         assert report.receipts_consistent

@@ -10,6 +10,7 @@ legs) that SAE's scatter-gather has enforced since the sharding PR.
 import pytest
 
 from repro.core import DropAttack, InjectAttack, ModifyAttack, UpdateBatch
+from repro.core.design import PhysicalDesign
 from repro.tom.scheme import TomScheme
 
 
@@ -19,7 +20,9 @@ NUM_SHARDS = 3
 @pytest.fixture(scope="module")
 def sharded_tom(small_dataset):
     """A 3-shard TOM deployment over the shared small dataset."""
-    system = TomScheme(small_dataset, key_bits=512, seed=29, shards=NUM_SHARDS).setup()
+    system = TomScheme(
+        small_dataset, key_bits=512, seed=29, design=PhysicalDesign(shards=NUM_SHARDS)
+    ).setup()
     yield system
     system.close()
 
@@ -161,7 +164,9 @@ class TestShardedUpdates:
             records=[tuple(record) for record in small_dataset.records],
             name="tom-update-copy",
         )
-        system = TomScheme(dataset, key_bits=512, seed=37, shards=NUM_SHARDS).setup()
+        system = TomScheme(
+            dataset, key_bits=512, seed=37, design=PhysicalDesign(shards=NUM_SHARDS)
+        ).setup()
         yield system, dataset
         system.close()
 

@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import contextlib
+import io
 import json
 
 import pytest
@@ -107,15 +109,16 @@ class TestFleetArgumentValidation:
 
     @pytest.fixture(scope="class")
     def fleet_dir(self, tmp_path_factory):
+        from repro.core.design import PhysicalDesign
         from repro.network.fleet import build_fleet
         from repro.workloads import build_dataset
 
         base = tmp_path_factory.mktemp("cli-fleet")
         build_fleet(
             build_dataset(200, record_size=64, seed=9),
-            2,
             base,
             scheme="sae",
+            design=PhysicalDesign(shards=2),
             key_bits=512,
             seed=9,
         )
@@ -145,18 +148,28 @@ class TestFleetArgumentValidation:
         assert "replica snapshots are shipped at build time" in captured.err
 
 
+@pytest.fixture(scope="module")
+def smoke_run(tmp_path_factory):
+    """One full ``bench smoke`` recording without a baseline, shared by the
+    tests that need a real run: ``(exit code, output directory, stdout)``."""
+    out = tmp_path_factory.mktemp("smoke")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        exit_code = main([
+            "bench", "smoke", "--out", str(out),
+            "--baseline", str(out / "missing-baseline.json"),
+        ])
+    return exit_code, out, stdout.getvalue()
+
+
 class TestBenchSmoke:
-    def test_smoke_without_baseline_records_and_passes(self, tmp_path, capsys):
+    def test_smoke_without_baseline_records_and_passes(self, smoke_run):
         from repro.experiments.benchgate import BENCH_FILES
 
-        exit_code = main([
-            "bench", "smoke", "--out", str(tmp_path),
-            "--baseline", str(tmp_path / "missing-baseline.json"),
-        ])
-        output = capsys.readouterr().out
+        exit_code, out, output = smoke_run
         assert exit_code == 0
         for name in BENCH_FILES:
-            assert (tmp_path / name).exists()
+            assert (out / name).exists()
         assert "BENCH_head_to_head.json" in BENCH_FILES
         assert "gate skipped" in output
 
@@ -164,12 +177,12 @@ class TestBenchSmoke:
         assert main(["bench", "smoke", "--inject-regression", "-1"]) == 2
         assert "--inject-regression" in capsys.readouterr().err
 
-    def test_reuse_injects_regression_without_rebenchmarking(self, tmp_path, capsys):
+    def test_reuse_injects_regression_without_rebenchmarking(self, tmp_path, capsys, smoke_run):
         from repro.experiments.benchgate import BENCH_FILES
 
-        recorded = tmp_path / "recorded"
+        exit_code, recorded, _ = smoke_run
         baseline = tmp_path / "baseline.json"
-        assert main(["bench", "smoke", "--out", str(recorded), "--no-check"]) == 0
+        assert exit_code == 0
         # Promote the honest run to a baseline, then gate a reused+degraded copy.
         import json
 

@@ -11,9 +11,7 @@ from repro.core.design import (
     DesignError,
     PhysicalDesign,
     design_from_snapshot_params,
-    resolve_design,
 )
-from repro.core.sharding import ShardedDeployment
 from repro.workloads import build_dataset
 
 
@@ -138,32 +136,6 @@ class TestDefaultFor:
     def test_router_without_cuts_needs_dataset(self):
         with pytest.raises(DesignError, match="dataset"):
             PhysicalDesign(shards=2).router()
-
-
-class TestResolveDesign:
-    def test_legacy_keywords_build_a_design(self):
-        design = resolve_design(None, shards=3, replicas=2, pool_pages=16)
-        assert (design.shards, design.replicas, design.pool_pages) == (3, 2, 16)
-
-    def test_sharded_deployment_is_honoured(self):
-        deployment = ShardedDeployment(
-            num_shards=3, num_replicas=2, cut_points=(10, 20)
-        )
-        design = resolve_design(None, shards=deployment)
-        assert design.shards == 3
-        assert design.replicas == 2
-        assert design.cut_points == (10, 20)
-
-    def test_design_with_matching_keyword_passes(self):
-        design = PhysicalDesign(shards=2, cut_points=(50,))
-        assert resolve_design(design, shards=2) is design
-
-    def test_design_with_contradicting_keyword_raises(self):
-        design = PhysicalDesign(shards=2, cut_points=(50,))
-        with pytest.raises(DesignError, match="shards=3"):
-            resolve_design(design, shards=3)
-        with pytest.raises(DesignError, match="pool_pages"):
-            resolve_design(design, pool_pages=7)
 
 
 class TestSnapshotParams:

@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from repro.core.design import DesignError, PhysicalDesign
 from repro.network.fleet import (
     FLEET_FORMAT,
     FleetError,
@@ -25,7 +26,9 @@ def dataset():
 @pytest.fixture(scope="module")
 def built(dataset, tmp_path_factory):
     base = tmp_path_factory.mktemp("fleet-build")
-    manifest = build_fleet(dataset, 3, base, scheme="sae", replicas=2, seed=5)
+    manifest = build_fleet(
+        dataset, base, scheme="sae", design=PhysicalDesign(shards=3, replicas=2), seed=5
+    )
     return dataset, base, manifest
 
 
@@ -72,13 +75,20 @@ class TestBuildFleet:
     def test_refuses_to_overwrite_an_existing_fleet(self, built, dataset):
         _, base, _ = built
         with pytest.raises(FleetError, match="already holds a fleet"):
-            build_fleet(dataset, 2, base, scheme="sae", seed=5)
+            build_fleet(dataset, base, scheme="sae", design=PhysicalDesign(shards=2), seed=5)
 
     def test_rejects_degenerate_shapes(self, dataset, tmp_path):
-        with pytest.raises(FleetError, match="at least one shard"):
-            build_fleet(dataset, 0, tmp_path / "a", scheme="sae")
-        with pytest.raises(FleetError, match="at least one replica"):
-            build_fleet(dataset, 2, tmp_path / "b", scheme="sae", replicas=0)
+        # The design a fleet is built to refuses the shape before any build.
+        with pytest.raises(DesignError, match="at least one shard"):
+            build_fleet(dataset, tmp_path / "a", scheme="sae", design=PhysicalDesign(shards=0))
+        with pytest.raises(DesignError, match="at least one replica"):
+            build_fleet(
+                dataset, tmp_path / "b", scheme="sae", design=PhysicalDesign(shards=2, replicas=0)
+            )
+
+    def test_requires_a_design(self, dataset, tmp_path):
+        with pytest.raises(TypeError, match="design"):
+            build_fleet(dataset, base_dir=tmp_path)
 
 
 class TestManifestLoading:

@@ -517,8 +517,3 @@ class TestStorageConfig:
         with pytest.raises(NodeStoreError):
             StorageConfig(mode="paged", pool_pages=0)
 
-    def test_coerce_passthrough(self):
-        config = StorageConfig(mode="paged", pool_pages=9)
-        assert StorageConfig.coerce(config) is config
-        coerced = StorageConfig.coerce("paged", data_dir="/x", pool_pages=5)
-        assert coerced.is_paged and coerced.pool_pages == 5

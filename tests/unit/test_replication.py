@@ -21,8 +21,8 @@ from repro.core import (
     epoch_digest,
     shared_epoch_keys,
 )
+from repro.core.design import PhysicalDesign
 from repro.core.scheme import SchemeError
-from repro.core.sharding import ShardedDeployment, ShardingError
 from repro.core.updates import UpdateBatch
 from repro.crypto.digest import default_scheme
 from repro.dbms.query import RangeQuery
@@ -167,16 +167,6 @@ class TestReplicaRouter:
             router.kill(0, 2)
 
 
-class TestReplicatedDeploymentConfig:
-    def test_replica_count_validated(self):
-        with pytest.raises(ShardingError):
-            ShardedDeployment(2, num_replicas=0)
-
-    def test_is_replicated(self):
-        assert not ShardedDeployment(2).is_replicated
-        assert ShardedDeployment(1, num_replicas=2).is_replicated
-
-
 class TestStaleReplicaAttack:
     def test_capture_takes_records_and_stamp(self, tiny_dataset):
         system = OutsourcedDB(tiny_dataset, scheme="sae").setup()
@@ -219,7 +209,8 @@ class TestStaleReplicaDetection:
 
     def test_sharded_replicated(self, tiny_dataset, scheme):
         system = OutsourcedDB(
-            tiny_dataset, scheme=scheme, shards=2, replicas=2, key_bits=512, seed=19
+            tiny_dataset, scheme=scheme, design=PhysicalDesign(shards=2, replicas=2),
+            key_bits=512, seed=19,
         ).setup()
         keys = tiny_dataset.keys()
         with system:
@@ -278,7 +269,7 @@ class TestFailoverGuards:
                 system.sp_replica(0)
 
     def test_all_replicas_down_raises(self, tiny_dataset, scheme):
-        system = self._system(tiny_dataset, scheme, replicas=2)
+        system = self._system(tiny_dataset, scheme, design=PhysicalDesign(replicas=2))
         keys = tiny_dataset.keys()
         with system:
             system.kill_replica(0)
@@ -292,7 +283,7 @@ class TestFailoverGuards:
             assert system.query(min(keys), max(keys)).verified
 
     def test_failed_attempts_visible_on_receipt(self, tiny_dataset, scheme):
-        system = self._system(tiny_dataset, scheme, replicas=2)
+        system = self._system(tiny_dataset, scheme, design=PhysicalDesign(replicas=2))
         keys = tiny_dataset.keys()
         with system:
             system.kill_replica(0)

@@ -9,9 +9,11 @@ receipt -- instead of scheme-divergent errors.
 import pytest
 
 from repro.core import OutsourcedDB, SchemeError, available_schemes, scheme_class
+from repro.core.design import PhysicalDesign
 from repro.core.protocol import SaeScheme
 from repro.core.scheme import AuthScheme
 from repro.dbms.query import QueryError, RangeQuery
+from repro.storage.node_store import StorageConfig
 from repro.tom.scheme import TomScheme
 
 
@@ -51,9 +53,25 @@ class TestOutsourcedDB:
             assert db.scheme_name == "sae"
             assert db.query(0, 10_000_000).verified
 
-    def test_rejects_parameters_no_scheme_understands(self, small_dataset):
-        with pytest.raises(SchemeError, match="sharde"):
-            OutsourcedDB(small_dataset, scheme="sae", sharde=4)
+    @pytest.mark.parametrize(
+        "name, value",
+        [("sharde", 4), ("shards", 2), ("replicas", 2), ("pool_pages", 64), ("page_size", 4096)],
+    )
+    def test_rejects_parameters_no_scheme_understands(self, small_dataset, name, value):
+        # Valid layout values are refused too: design= is the only layout input.
+        with pytest.raises(SchemeError, match=name):
+            OutsourcedDB(small_dataset, scheme="sae", **{name: value})
+
+    def test_storage_takes_only_the_mode_string(self, small_dataset):
+        # A ready-made StorageConfig would carry a pool size of its own, which
+        # the design (and the snapshot a restart reads) would not report.
+        with pytest.raises(SchemeError, match="storage"):
+            OutsourcedDB(
+                small_dataset,
+                scheme="sae",
+                storage=StorageConfig(mode="paged", pool_pages=4),
+                design=PhysicalDesign(pool_pages=64),
+            )
 
     def test_wraps_a_ready_made_instance(self, small_dataset, sae_system):
         db = OutsourcedDB(small_dataset, scheme=sae_system)
@@ -62,7 +80,7 @@ class TestOutsourcedDB:
 
     def test_instance_plus_kwargs_rejected(self, small_dataset, sae_system):
         with pytest.raises(SchemeError):
-            OutsourcedDB(small_dataset, scheme=sae_system, shards=2)
+            OutsourcedDB(small_dataset, scheme=sae_system, design=PhysicalDesign(shards=2))
 
     def test_delegates_storage_report(self, small_dataset, tom_system):
         db = OutsourcedDB(small_dataset, scheme=tom_system)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.core.dataset import Dataset
 from repro.core.sharding import (
-    ShardedDeployment,
     ShardingError,
     ShardRouter,
     boundary_segments,
@@ -31,18 +30,6 @@ def make_dataset(keys):
     """A tiny (id, key, payload) dataset with the given query-attribute values."""
     records = [(position, key, b"p") for position, key in enumerate(keys)]
     return Dataset(schema=DATASET_SCHEMA, records=records, name="tiny")
-
-
-class TestShardedDeployment:
-    def test_single_shard_is_not_sharded(self):
-        assert not ShardedDeployment(1).is_sharded
-        assert ShardedDeployment(4).is_sharded
-
-    def test_rejects_non_positive_counts(self):
-        with pytest.raises(ShardingError):
-            ShardedDeployment(0)
-        with pytest.raises(ShardingError):
-            ShardedDeployment(-3)
 
 
 class TestShardRouter:
