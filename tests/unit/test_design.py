@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.core import OutsourcedDB
 from repro.core.design import (
     DEFAULT_BATCH_SIZE,
     DEFAULT_POOL_PAGES,
@@ -136,6 +137,21 @@ class TestDefaultFor:
     def test_router_without_cuts_needs_dataset(self):
         with pytest.raises(DesignError, match="dataset"):
             PhysicalDesign(shards=2).router()
+
+
+class TestDeploymentReadsDesign:
+    def test_sharded_deployment_is_honoured(self):
+        dataset = build_dataset(200, seed=3)
+        design = PhysicalDesign(shards=3, replicas=2, cut_points=(10, 20))
+        with OutsourcedDB(
+            dataset, scheme="sae", key_bits=512, design=design
+        ) as db:
+            assert db.design == design
+            assert (db.num_shards, db.num_replicas) == (3, 2)
+            db.setup()
+            # The primary and the standby route on the design's cuts.
+            assert db.provider.router.boundaries == [10, 20]
+            assert db.sp_replica(1).router.boundaries == [10, 20]
 
 
 class TestSnapshotParams:

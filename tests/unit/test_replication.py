@@ -21,7 +21,7 @@ from repro.core import (
     epoch_digest,
     shared_epoch_keys,
 )
-from repro.core.design import PhysicalDesign
+from repro.core.design import DesignError, PhysicalDesign
 from repro.core.scheme import SchemeError
 from repro.core.updates import UpdateBatch
 from repro.crypto.digest import default_scheme
@@ -165,6 +165,29 @@ class TestReplicaRouter:
             router.attempt_order(2)
         with pytest.raises(ValueError):
             router.kill(0, 2)
+
+
+class TestReplicatedDeploymentConfig:
+    def test_replica_count_validated(self):
+        for count in (0, -1):
+            with pytest.raises(DesignError):
+                PhysicalDesign(shards=2, replicas=count)
+            # The CLI's --replicas flag reaches the design through overrides.
+            with pytest.raises(DesignError):
+                PhysicalDesign(shards=2).with_overrides(replicas=count)
+
+    def test_is_replicated(self, tiny_dataset):
+        with OutsourcedDB(
+            tiny_dataset, key_bits=512, design=PhysicalDesign(shards=2)
+        ).setup() as db:
+            assert db.num_replicas == 1
+            with pytest.raises(SchemeError):
+                db.kill_replica(1)
+        with OutsourcedDB(
+            tiny_dataset, key_bits=512, design=PhysicalDesign(replicas=2)
+        ).setup() as db:
+            assert db.num_replicas == 2
+            assert db.sp_replica(1) is not db.sp_replica(0)
 
 
 class TestStaleReplicaAttack:

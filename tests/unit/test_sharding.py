@@ -4,16 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import OutsourcedDB
 from repro.core.dataset import Dataset
+from repro.core.design import DesignError, PhysicalDesign
 from repro.core.sharding import (
     ShardingError,
     ShardRouter,
+    SingleShard,
     boundary_segments,
     partition_dataset,
     route_update_batch,
 )
 from repro.core.updates import UpdateBatch
-from repro.workloads.datasets import DATASET_SCHEMA
+from repro.dbms.query import RangeQuery
+from repro.workloads.datasets import DATASET_SCHEMA, build_dataset
 
 #: Sorted unique cut lists -> routers of 1..6 shards over a small domain,
 #: so arbitrary old/new cut pairs overlap, nest, and disagree on purpose.
@@ -30,6 +34,29 @@ def make_dataset(keys):
     """A tiny (id, key, payload) dataset with the given query-attribute values."""
     records = [(position, key, b"p") for position, key in enumerate(keys)]
     return Dataset(schema=DATASET_SCHEMA, records=records, name="tiny")
+
+
+class TestShardCount:
+    def test_single_shard_is_not_sharded(self):
+        dataset = build_dataset(200, seed=3)
+        with OutsourcedDB(
+            dataset, scheme="sae", key_bits=512, design=PhysicalDesign()
+        ).setup() as db:
+            # One shard is a lone provider answering as shard 0, not a fleet.
+            assert isinstance(db.provider, SingleShard)
+            assert db.provider.shards_for(RangeQuery(-100, 10**9)) == [0]
+        with OutsourcedDB(
+            dataset, scheme="sae", key_bits=512, design=PhysicalDesign(shards=4)
+        ).setup() as db:
+            assert not isinstance(db.provider, SingleShard)
+            assert db.provider.num_shards == 4
+
+    def test_rejects_non_positive_counts(self):
+        for count in (0, -3):
+            with pytest.raises(DesignError):
+                PhysicalDesign(shards=count)
+            with pytest.raises(ShardingError):
+                ShardRouter.from_keys([1, 2, 3], count)
 
 
 class TestShardRouter:
