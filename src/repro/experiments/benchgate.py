@@ -664,12 +664,17 @@ def _tuning_metrics() -> List[GateMetric]:
     """The physical-design advisor leg: tune on a Zipf trace, prove the win.
 
     Hard requirements (every query verified under both designs, merged
-    receipts equal to their leg sums) raise here.  The gated axes are
-    deterministic: the replayed cost-model improvement of the recommended
-    design over ``PhysicalDesign.default_for`` and the live model-qps
-    rematch -- the workload is seeded, the tree shapes and the simulated
-    buffer pools are pure functions of the trace, so the advisor's win is
-    reproducible bit-for-bit.  The improvement is gated from below: if a
+    receipts equal to their leg sums) raise here.  The gated axes are the
+    replayed cost-model improvement of the recommended design over
+    ``PhysicalDesign.default_for`` and the live model-qps rematch.  Only
+    part of what feeds them is deterministic: the workload's queries are
+    seeded, and the tree shapes and the simulated buffer pools are pure
+    functions of the trace they replay.  The trace itself is not: it is
+    the load threads' outcomes concatenated in the order the threads ran,
+    and ``profile_workload`` mixes measured CPU time into the per-access
+    and per-record costs, so the recommended cuts -- and both gated values
+    -- can differ between two runs of one commit (ROADMAP item 1 makes
+    the leg deterministic).  The improvement is gated from below: if a
     cost-model change stops the advisor finding a better-than-default
     design on a skewed workload, the gate trips.
     """

@@ -10,8 +10,9 @@ result and the VO and checks it against the signature.
 
 This package implements the complete baseline:
 
-* :mod:`repro.tom.mbtree` -- the MB-Tree with incremental digest maintenance
-  and VO construction;
+* :mod:`repro.tom.mbtree` -- the MB-Tree: the :mod:`repro.btree` B+-tree
+  whose entries carry digests, repaired through its hooks, plus VO
+  construction;
 * :mod:`repro.tom.vo` -- the verification-object structure and its size
   accounting (what Figure 5 charges);
 * :mod:`repro.tom.verification` -- client-side root-digest reconstruction,

@@ -6,23 +6,22 @@ intermediate node entry is associated with a digest computed on the
 concatenation of the digests in the page it points to.  The DO signs the
 digest h_root associated with the root." (Section I of the paper.)
 
-Node storage is pluggable through a
-:class:`~repro.storage.node_store.NodeStore`: child and sibling pointers
-hold store references and every dereference goes through the store inside an
-operation scope, so a paged MB-tree keeps only its buffer pool resident
-while a traversal's path stays pinned (the default memory store preserves
-the historical object-graph behaviour bit-for-bit).
+That is exactly what :class:`MBTree` is: a subclass of
+:class:`~repro.btree.tree.BPlusTree` whose leaves carry ``rids`` and
+``digests`` and whose internal nodes carry ``child_digests`` beside their
+``children``.  Descent, range scan, insert/split, delete/borrow/merge, bulk
+load, node storage, snapshot state and the structural half of validation are
+the B+-tree's own code, which moves those parallel lists together; this
+module adds only what the digests need:
 
-The tree supports:
-
-* :meth:`MBTree.bulk_load` and incremental :meth:`MBTree.insert` /
-  :meth:`MBTree.delete` with bottom-up digest repair;
-* :meth:`MBTree.range_search` -- the plain query path (used for the SP
-  processing-cost experiments);
+* the repair hooks, which recompute child digests bottom-up wherever an
+  insert, a root split, a rebalance or a bulk-load parent changes a child;
+* :meth:`MBTree.root_digest` / :meth:`MBTree.node_digest` -- the value the
+  data owner signs, and the owner's root :attr:`MBTree.signature`;
 * :meth:`MBTree.build_vo` -- range query plus verification-object
   construction (boundary records, pruned-sibling digests);
-* :meth:`MBTree.root_digest` -- the value the data owner signs;
-* :meth:`MBTree.validate` -- full structural and digest invariant check.
+* the digest half of :meth:`MBTree.validate` (every stored child digest is
+  recomputed).
 
 Because every entry additionally carries a 20-byte digest, the MB-tree's
 fanout is lower than the plain B+-tree's; this is the mechanism behind the
@@ -33,12 +32,13 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
+from repro.btree.tree import BPlusTree, BPlusTreeConfig, BPlusTreeError
 from repro.crypto.digest import Digest, DigestScheme, default_scheme
 from repro.storage.constants import DEFAULT_PAGE_SIZE
 from repro.storage.cost_model import AccessCounter
-from repro.storage.node_store import MEMORY_NODE_STORE, NodeStore
+from repro.storage.node_store import NodeStore
 from repro.tom.vo import (
     VerificationObject,
     VOBoundary,
@@ -50,7 +50,7 @@ from repro.tom.vo import (
 from repro.crypto.signatures import Signature
 
 
-class MBTreeError(ValueError):
+class MBTreeError(BPlusTreeError):
     """Raised on invalid MB-tree operations or broken invariants."""
 
 
@@ -132,7 +132,7 @@ class MBInternalNode:
         return self.child_digests
 
 
-class MBTree:
+class MBTree(BPlusTree):
     """The Merkle B+-tree used by the TOM data owner and service provider.
 
     Thread-safety: concurrent read operations are safe; mutations require
@@ -141,6 +141,12 @@ class MBTree:
     own lock.
     """
 
+    _leaf_class = MBLeafNode
+    _internal_class = MBInternalNode
+    _leaf_columns = ("rids", "digests")
+    _child_columns = ("children", "child_digests")
+    _error = MBTreeError
+
     def __init__(
         self,
         layout: Optional[MBTreeLayout] = None,
@@ -148,69 +154,20 @@ class MBTree:
         counter: Optional[AccessCounter] = None,
         store: Optional[NodeStore] = None,
     ):
-        self._layout = layout or MBTreeLayout()
         self._scheme = scheme or default_scheme()
-        self._counter = counter or AccessCounter()
-        self._store = store or MEMORY_NODE_STORE
-        self._load = self._store.load
-        with self._store.write_op():
-            self._root = self._store.register(MBLeafNode())
-        self._height = 1
-        self._num_entries = 0
-        self._num_leaves = 1
-        self._num_internal = 0
         self._signature: Optional[Signature] = None
+        super().__init__(BPlusTreeConfig(layout=layout or MBTreeLayout()), counter, store)
 
     # ------------------------------------------------------------------ meta
     @property
     def layout(self) -> MBTreeLayout:
         """Byte layout used to derive capacities and storage size."""
-        return self._layout
+        return self._config.layout
 
     @property
     def scheme(self) -> DigestScheme:
         """Digest scheme used for node digests."""
         return self._scheme
-
-    @property
-    def counter(self) -> AccessCounter:
-        """Node-access counter charged by traversals."""
-        return self._counter
-
-    @property
-    def store(self) -> NodeStore:
-        """The node store backing this tree."""
-        return self._store
-
-    @property
-    def leaf_capacity(self) -> int:
-        """Maximum entries per leaf node."""
-        return self._layout.leaf_capacity
-
-    @property
-    def internal_capacity(self) -> int:
-        """Maximum separator keys per internal node."""
-        return self._layout.internal_capacity
-
-    @property
-    def height(self) -> int:
-        """Number of levels (1 for a single leaf)."""
-        return self._height
-
-    @property
-    def num_entries(self) -> int:
-        """Number of indexed records."""
-        return self._num_entries
-
-    @property
-    def num_nodes(self) -> int:
-        """Total number of nodes (pages)."""
-        return self._num_leaves + self._num_internal
-
-    @property
-    def num_leaves(self) -> int:
-        """Number of leaf nodes."""
-        return self._num_leaves
 
     @property
     def signature(self) -> Optional[Signature]:
@@ -224,10 +181,7 @@ class MBTree:
     def size_bytes(self) -> int:
         """Storage footprint: one page per node, plus the root signature."""
         signature_bytes = self._signature.size if self._signature is not None else 0
-        return self.num_nodes * self._layout.page_size + signature_bytes
-
-    def __len__(self) -> int:
-        return self._num_entries
+        return super().size_bytes() + signature_bytes
 
     def tree_state(self) -> dict:
         """Picklable structural metadata (for deployment snapshots).
@@ -235,36 +189,12 @@ class MBTree:
         Includes the owner's root signature, so a restored TOM deployment
         serves verifiable results **without re-signing**.
         """
-        return {
-            "root": self._root,
-            "height": self._height,
-            "num_entries": self._num_entries,
-            "num_leaves": self._num_leaves,
-            "num_internal": self._num_internal,
-            "signature": self._signature,
-        }
+        return {**super().tree_state(), "signature": self._signature}
 
     def adopt_state(self, state: dict) -> None:
         """Re-attach to nodes already present in the store (snapshot restore)."""
-        self._free_initial_root(state["root"])
-        self._root = state["root"]
-        self._height = int(state["height"])
-        self._num_entries = int(state["num_entries"])
-        self._num_leaves = int(state["num_leaves"])
-        self._num_internal = int(state["num_internal"])
+        super().adopt_state(state)
         self._signature = state.get("signature")
-
-    def _free_initial_root(self, new_root: Any) -> None:
-        """Release the empty root the constructor registered (restore path)."""
-        if self._root == new_root or self._num_entries:
-            return
-        from repro.storage.node_store import NodeStoreError
-
-        try:
-            with self._store.write_op():
-                self._store.free(self._root)
-        except NodeStoreError:
-            pass  # the constructor's root was never committed to this store
 
     # ------------------------------------------------------------------ digests
     def node_digest(self, node: Any) -> Digest:
@@ -282,372 +212,52 @@ class MBTree:
                 self._load(parent.children[index])
             )
 
-    # ------------------------------------------------------------------ search
-    def _charge(self, count: int = 1) -> None:
-        self._counter.record_node_access(count)
+    def _repair_after_insert(self, node: MBInternalNode, index: int, split: Any) -> None:
+        if split is not None:
+            node.child_digests.insert(index + 1, self.node_digest(self._load(split[1])))
+        self._refresh_child_digest(node, index)
+        if split is not None:
+            self._refresh_child_digest(node, index + 1)
 
-    def _find_leaf(self, key: Any, charge: bool = True) -> MBLeafNode:
-        node = self._load(self._root)
-        if charge:
-            self._charge()
-        while not node.is_leaf:
-            index = bisect.bisect_left(node.keys, key)
-            node = self._load(node.children[index])
-            if charge:
-                self._charge()
-        return node
+    def _repair_new_root(self, root: MBInternalNode, old_root: Any) -> None:
+        root.child_digests = [
+            self.node_digest(old_root),
+            self.node_digest(self._load(root.children[1])),
+        ]
 
-    def range_search(self, low: Any, high: Any) -> List[Tuple[Any, Any]]:
-        """Plain range query: all ``(key, rid)`` with ``low <= key <= high``."""
-        if low > high:
-            return []
-        results: List[Tuple[Any, Any]] = []
-        with self._store.read_op():
-            leaf = self._find_leaf(low)
-            while leaf is not None:
-                start = bisect.bisect_left(leaf.keys, low)
-                for index in range(start, len(leaf.keys)):
-                    key = leaf.keys[index]
-                    if key > high:
-                        return results
-                    results.append((key, leaf.rids[index]))
-                if leaf.keys and leaf.keys[-1] > high:
-                    return results
-                leaf = (
-                    self._load(leaf.next_leaf)
-                    if leaf.next_leaf is not None else None
-                )
-                if leaf is not None:
-                    self._charge()
-        return results
+    def _repair_children(self, parent: MBInternalNode, index: int) -> None:
+        for child_index in range(max(0, index - 1), min(len(parent.children), index + 2)):
+            self._refresh_child_digest(parent, child_index)
 
-    def items(self) -> Iterator[Tuple[Any, Any, Digest]]:
-        """Iterate over ``(key, rid, digest)`` in key order (no access charges)."""
-        node = self._load(self._root)
-        while not node.is_leaf:
-            node = self._load(node.children[0])
-        while node is not None:
-            for key, rid, digest in zip(node.keys, node.rids, node.digests):
-                yield key, rid, digest
-            node = self._load(node.next_leaf) if node.next_leaf is not None else None
+    def _repair_bulk_parent(self, parent: MBInternalNode) -> None:
+        parent.child_digests = [self.node_digest(child) for child in parent.children]
 
-    # ------------------------------------------------------------------ insert
+    def _check_child(self, parent: MBInternalNode, index: int, child: Any) -> None:
+        stored = parent.child_digests[index]
+        expected = self.node_digest(child)
+        if stored != expected:
+            raise MBTreeError(
+                f"child digest mismatch at position {index}: "
+                f"stored {stored.hex()[:12]}, recomputed {expected.hex()[:12]}"
+            )
+
+    # ------------------------------------------------------------------ updates
     def insert(self, key: Any, rid: Any, digest: Digest) -> None:
         """Insert one record entry and repair digests along the path."""
         if not isinstance(digest, Digest):
             raise MBTreeError("the MB-tree stores Digest objects; got " + type(digest).__name__)
-        with self._store.write_op():
-            self._charge()
-            root = self._load(self._root)
-            split = self._insert_recursive(root, key, rid, digest)
-            if split is not None:
-                separator, right_ref = split
-                new_root = MBInternalNode()
-                new_root.keys = [separator]
-                new_root.children = [self._root, right_ref]
-                new_root.child_digests = [
-                    self.node_digest(root),
-                    self.node_digest(self._load(right_ref)),
-                ]
-                self._root = self._store.register(new_root)
-                self._height += 1
-                self._num_internal += 1
-            self._num_entries += 1
+        self._insert_entry(key, (rid, digest))
 
-    def _insert_recursive(self, node: Any, key: Any, rid: Any, digest: Digest):
-        if node.is_leaf:
-            index = bisect.bisect_right(node.keys, key)
-            node.keys.insert(index, key)
-            node.rids.insert(index, rid)
-            node.digests.insert(index, digest)
-            if len(node.keys) > self.leaf_capacity:
-                return self._split_leaf(node)
-            return None
-
-        index = bisect.bisect_right(node.keys, key)
-        self._charge()
-        split = self._insert_recursive(self._load(node.children[index]), key, rid, digest)
-        if split is not None:
-            separator, right_ref = split
-            node.keys.insert(index, separator)
-            node.children.insert(index + 1, right_ref)
-            node.child_digests.insert(index + 1, self.node_digest(self._load(right_ref)))
-        self._refresh_child_digest(node, index)
-        if split is not None:
-            self._refresh_child_digest(node, index + 1)
-        if len(node.keys) > self.internal_capacity:
-            return self._split_internal(node)
-        return None
-
-    def _split_leaf(self, leaf: MBLeafNode):
-        mid = len(leaf.keys) // 2
-        right = MBLeafNode()
-        right.keys = leaf.keys[mid:]
-        right.rids = leaf.rids[mid:]
-        right.digests = leaf.digests[mid:]
-        leaf.keys = leaf.keys[:mid]
-        leaf.rids = leaf.rids[:mid]
-        leaf.digests = leaf.digests[:mid]
-        right.next_leaf = leaf.next_leaf
-        right_ref = self._store.register(right)
-        leaf.next_leaf = right_ref
-        self._num_leaves += 1
-        return right.keys[0], right_ref
-
-    def _split_internal(self, node: MBInternalNode):
-        mid = len(node.keys) // 2
-        separator = node.keys[mid]
-        right = MBInternalNode()
-        right.keys = node.keys[mid + 1:]
-        right.children = node.children[mid + 1:]
-        right.child_digests = node.child_digests[mid + 1:]
-        node.keys = node.keys[:mid]
-        node.children = node.children[:mid + 1]
-        node.child_digests = node.child_digests[:mid + 1]
-        self._num_internal += 1
-        return separator, self._store.register(right)
-
-    # ------------------------------------------------------------------ delete
-    def delete(self, key: Any, rid: Any = None) -> None:
-        """Delete one entry with ``key`` (and ``rid``, when given) and repair digests.
-
-        Raises :class:`MBTreeError` when no matching entry exists (the store
-        then discards the scope, so a failed delete mutates nothing).
-        """
-        with self._store.write_op():
-            self._charge()
-            root = self._load(self._root)
-            removed = self._delete_recursive(root, key, rid)
-            if not removed:
-                raise MBTreeError(f"key {key!r} (rid {rid!r}) not found")
-            if not root.is_leaf and len(root.children) == 1:
-                old_root = self._root
-                self._root = root.children[0]
-                self._store.free(old_root)
-                self._height -= 1
-                self._num_internal -= 1
-            self._num_entries -= 1
-
-    def _delete_recursive(self, node: Any, key: Any, rid: Any) -> bool:
-        if node.is_leaf:
-            index = bisect.bisect_left(node.keys, key)
-            while index < len(node.keys) and node.keys[index] == key:
-                if rid is None or node.rids[index] == rid:
-                    node.keys.pop(index)
-                    node.rids.pop(index)
-                    node.digests.pop(index)
-                    return True
-                index += 1
-            return False
-
-        index = bisect.bisect_left(node.keys, key)
-        removed = False
-        while index < len(node.children):
-            child = self._load(node.children[index])
-            self._charge()
-            removed = self._delete_recursive(child, key, rid)
-            if removed:
-                break
-            if index >= len(node.keys) or node.keys[index] > key:
-                break
-            index += 1
-        if not removed:
-            return False
-        self._rebalance_child(node, index)
-        return True
-
-    def _min_leaf_entries(self) -> int:
-        return max(1, self.leaf_capacity // 2)
-
-    def _min_internal_keys(self) -> int:
-        return max(1, self.internal_capacity // 2)
-
-    def _rebalance_child(self, parent: MBInternalNode, index: int) -> None:
-        child = self._load(parent.children[index])
-        underfull = (
-            len(child.keys) < self._min_leaf_entries()
-            if child.is_leaf
-            else len(child.keys) < self._min_internal_keys()
-        )
-        if not underfull:
-            self._refresh_separators_and_digests(parent, index)
-            return
-
-        left_sibling = (
-            self._load(parent.children[index - 1]) if index > 0 else None
-        )
-        right_sibling = (
-            self._load(parent.children[index + 1])
-            if index + 1 < len(parent.children) else None
-        )
-
-        if child.is_leaf:
-            if left_sibling is not None and len(left_sibling.keys) > self._min_leaf_entries():
-                child.keys.insert(0, left_sibling.keys.pop())
-                child.rids.insert(0, left_sibling.rids.pop())
-                child.digests.insert(0, left_sibling.digests.pop())
-                parent.keys[index - 1] = child.keys[0]
-            elif right_sibling is not None and len(right_sibling.keys) > self._min_leaf_entries():
-                child.keys.append(right_sibling.keys.pop(0))
-                child.rids.append(right_sibling.rids.pop(0))
-                child.digests.append(right_sibling.digests.pop(0))
-                parent.keys[index] = right_sibling.keys[0]
-            elif left_sibling is not None:
-                left_sibling.keys.extend(child.keys)
-                left_sibling.rids.extend(child.rids)
-                left_sibling.digests.extend(child.digests)
-                left_sibling.next_leaf = child.next_leaf
-                parent.keys.pop(index - 1)
-                self._store.free(parent.children.pop(index))
-                parent.child_digests.pop(index)
-                self._num_leaves -= 1
-            elif right_sibling is not None:
-                child.keys.extend(right_sibling.keys)
-                child.rids.extend(right_sibling.rids)
-                child.digests.extend(right_sibling.digests)
-                child.next_leaf = right_sibling.next_leaf
-                parent.keys.pop(index)
-                self._store.free(parent.children.pop(index + 1))
-                parent.child_digests.pop(index + 1)
-                self._num_leaves -= 1
-        else:
-            if left_sibling is not None and len(left_sibling.keys) > self._min_internal_keys():
-                child.keys.insert(0, parent.keys[index - 1])
-                parent.keys[index - 1] = left_sibling.keys.pop()
-                child.children.insert(0, left_sibling.children.pop())
-                child.child_digests.insert(0, left_sibling.child_digests.pop())
-            elif right_sibling is not None and len(right_sibling.keys) > self._min_internal_keys():
-                child.keys.append(parent.keys[index])
-                parent.keys[index] = right_sibling.keys.pop(0)
-                child.children.append(right_sibling.children.pop(0))
-                child.child_digests.append(right_sibling.child_digests.pop(0))
-            elif left_sibling is not None:
-                left_sibling.keys.append(parent.keys[index - 1])
-                left_sibling.keys.extend(child.keys)
-                left_sibling.children.extend(child.children)
-                left_sibling.child_digests.extend(child.child_digests)
-                parent.keys.pop(index - 1)
-                self._store.free(parent.children.pop(index))
-                parent.child_digests.pop(index)
-                self._num_internal -= 1
-            elif right_sibling is not None:
-                child.keys.append(parent.keys[index])
-                child.keys.extend(right_sibling.keys)
-                child.children.extend(right_sibling.children)
-                child.child_digests.extend(right_sibling.child_digests)
-                parent.keys.pop(index)
-                self._store.free(parent.children.pop(index + 1))
-                parent.child_digests.pop(index + 1)
-                self._num_internal -= 1
-        self._refresh_separators_and_digests(parent, index)
-
-    @staticmethod
-    def _leftmost_key_of(node: Any) -> Any:
-        """Leftmost key of an in-construction object subtree (bulk load only)."""
-        while not node.is_leaf:
-            node = node.children[0]
-        return node.keys[0] if node.keys else None
-
-    def _leftmost_key(self, node: Any) -> Any:
-        while not node.is_leaf:
-            node = self._load(node.children[0])
-        return node.keys[0] if node.keys else None
-
-    def _refresh_separators_and_digests(self, parent: MBInternalNode, index: int) -> None:
-        for key_index in range(len(parent.keys)):
-            leftmost = self._leftmost_key(self._load(parent.children[key_index + 1]))
-            if leftmost is not None:
-                parent.keys[key_index] = leftmost
-        for child_index in range(max(0, index - 1), min(len(parent.children), index + 2)):
-            self._refresh_child_digest(parent, child_index)
-
-    # ------------------------------------------------------------------ bulk load
     def bulk_load(self, items: Sequence[Tuple[Any, Any, Digest]], fill_factor: float = 1.0) -> None:
         """Rebuild the tree from ``(key, rid, digest)`` triples sorted by key.
 
-        The build materialises the whole tree before writing it to the
-        store, so setup needs memory proportional to the dataset even under
-        paged storage; steady-state serving afterwards is bounded by the
-        pool.
+        Raises :class:`MBTreeError` if the tree is non-empty, the input is
+        not sorted or ``fill_factor`` lies outside ``(0, 1]``.  The build
+        materialises the whole tree before writing it to the store, so setup
+        needs memory proportional to the dataset even under paged storage;
+        steady-state serving afterwards is bounded by the pool.
         """
-        if self._num_entries:
-            raise MBTreeError("bulk_load requires an empty tree")
-        items = list(items)
-        for i in range(1, len(items)):
-            if items[i][0] < items[i - 1][0]:
-                raise MBTreeError("bulk_load input must be sorted by key")
-        if not items:
-            return
-
-        per_leaf = max(2, int(self.leaf_capacity * fill_factor))
-        per_internal = max(2, int(self.internal_capacity * fill_factor))
-
-        leaves: List[MBLeafNode] = []
-        for start in range(0, len(items), per_leaf):
-            chunk = items[start:start + per_leaf]
-            leaf = MBLeafNode()
-            leaf.keys = [key for key, _, _ in chunk]
-            leaf.rids = [rid for _, rid, _ in chunk]
-            leaf.digests = [digest for _, _, digest in chunk]
-            if leaves:
-                leaves[-1].next_leaf = leaf
-            leaves.append(leaf)
-        if len(leaves) >= 2 and len(leaves[-1].keys) < max(1, per_leaf // 2):
-            last, prev = leaves[-1], leaves[-2]
-            keys = prev.keys + last.keys
-            rids = prev.rids + last.rids
-            digests = prev.digests + last.digests
-            half = len(keys) // 2
-            prev.keys, prev.rids, prev.digests = keys[:half], rids[:half], digests[:half]
-            last.keys, last.rids, last.digests = keys[half:], rids[half:], digests[half:]
-
-        self._num_leaves = len(leaves)
-        self._num_internal = 0
-        self._num_entries = len(items)
-
-        level: List[Any] = list(leaves)
-        height = 1
-        while len(level) > 1:
-            parents: List[MBInternalNode] = []
-            for start in range(0, len(level), per_internal + 1):
-                group = level[start:start + per_internal + 1]
-                parent = MBInternalNode()
-                parent.children = group
-                parent.keys = [self._leftmost_key_of(child) for child in group[1:]]
-                parent.child_digests = [self.node_digest(child) for child in group]
-                parents.append(parent)
-            if len(parents) >= 2 and len(parents[-1].children) == 1:
-                lonely = parents.pop()
-                parents[-1].children.extend(lonely.children)
-                parents[-1].child_digests.extend(lonely.child_digests)
-                parents[-1].keys.append(self._leftmost_key_of(lonely.children[0]))
-            self._num_internal += len(parents)
-            level = parents
-            height += 1
-        self._height = height
-        with self._store.write_op():
-            old_root = self._root
-            memo: dict = {}
-            next_ref = None
-            for leaf in reversed(leaves):
-                leaf.next_leaf = next_ref
-                next_ref = self._store.register(leaf)
-                memo[id(leaf)] = next_ref
-            self._root = self._intern_subtree(level[0], memo)
-            self._store.free(old_root)
-
-    def _intern_subtree(self, node: Any, memo: dict) -> Any:
-        """Register an object subtree with the store, bottom-up."""
-        ref = memo.get(id(node))
-        if ref is not None:
-            return ref
-        if not node.is_leaf:
-            node.children = [
-                self._intern_subtree(child, memo) for child in node.children
-            ]
-        ref = self._store.register(node)
-        memo[id(node)] = ref
-        return ref
+        self._bulk_load(items, fill_factor)
 
     # ------------------------------------------------------------------ VO construction
     def build_vo(
@@ -803,65 +413,3 @@ class MBTree:
                 )
                 items.append(VOSubtree(items=tuple(child_items), is_leaf=child.is_leaf))
         return items
-
-    # ------------------------------------------------------------------ validation
-    def validate(self) -> None:
-        """Check ordering, balance and digest invariants of the entire tree.
-
-        Loads every node inside one operation scope; meant for tests."""
-        with self._store.read_op():
-            leaves: List[MBLeafNode] = []
-            root = self._load(self._root)
-            self._validate_node(root, None, None, self._height, leaves)
-            node = root
-            while not node.is_leaf:
-                node = self._load(node.children[0])
-            chained = []
-            while node is not None:
-                chained.append(node)
-                node = self._load(node.next_leaf) if node.next_leaf is not None else None
-            if chained != leaves:
-                raise MBTreeError("leaf chain does not match tree traversal order")
-            total = sum(len(leaf.keys) for leaf in leaves)
-            if total != self._num_entries:
-                raise MBTreeError(
-                    f"entry count mismatch: counted {total}, recorded {self._num_entries}"
-                )
-            all_keys = [key for leaf in leaves for key in leaf.keys]
-            if all_keys != sorted(all_keys):
-                raise MBTreeError("keys are not globally sorted")
-
-    def _validate_node(self, node: Any, low: Any, high: Any, depth: int,
-                       leaves: List[MBLeafNode]) -> None:
-        if node.is_leaf:
-            if depth != 1:
-                raise MBTreeError("leaves are not all at the same depth")
-            if node.keys != sorted(node.keys):
-                raise MBTreeError("leaf keys are not sorted")
-            if not (len(node.keys) == len(node.rids) == len(node.digests)):
-                raise MBTreeError("leaf parallel arrays have inconsistent lengths")
-            for key in node.keys:
-                if low is not None and key < low:
-                    raise MBTreeError(f"leaf key {key!r} below lower bound {low!r}")
-                if high is not None and key > high:
-                    raise MBTreeError(f"leaf key {key!r} above upper bound {high!r}")
-            leaves.append(node)
-            return
-        if len(node.children) != len(node.keys) + 1:
-            raise MBTreeError("internal node children/keys arity mismatch")
-        if len(node.child_digests) != len(node.children):
-            raise MBTreeError("internal node digests/children arity mismatch")
-        if node.keys != sorted(node.keys):
-            raise MBTreeError("internal keys are not sorted")
-        for index, child_ref in enumerate(node.children):
-            child = self._load(child_ref)
-            stored = node.child_digests[index]
-            expected = self.node_digest(child)
-            if stored != expected:
-                raise MBTreeError(
-                    f"child digest mismatch at position {index}: "
-                    f"stored {stored.hex()[:12]}, recomputed {expected.hex()[:12]}"
-                )
-            child_low = node.keys[index - 1] if index > 0 else low
-            child_high = node.keys[index] if index < len(node.keys) else high
-            self._validate_node(child, child_low, child_high, depth - 1, leaves)

@@ -228,3 +228,61 @@ class TestCostAccounting:
         tree = small_tree(page_size=256)
         tree.bulk_load([(key, key) for key in range(1000)])
         assert tree.size_bytes() == tree.num_nodes * 256
+
+
+def nodes_of(tree):
+    """Every node of ``tree``, loaded through its store (test helper)."""
+    nodes, pending = [], [tree.tree_state()["root"]]
+    with tree.store.read_op():
+        while pending:
+            node = tree.store.load(pending.pop())
+            nodes.append(node)
+            if not node.is_leaf:
+                pending.extend(node.children)
+    return nodes
+
+
+def assert_within_capacity(tree):
+    for node in nodes_of(tree):
+        capacity = tree.leaf_capacity if node.is_leaf else tree.internal_capacity
+        assert len(node.keys) <= capacity
+
+
+class TestFillFactorAndCapacity:
+    @pytest.mark.parametrize("fill_factor", [1.5, -1.0, 0.0])
+    def test_bulk_load_refuses_fill_factor_outside_unit_interval(self, fill_factor):
+        tree = small_tree(fill_factor=fill_factor)
+        with pytest.raises(BPlusTreeError, match="fill factor"):
+            tree.bulk_load([(key, key) for key in range(200)])
+        assert len(tree) == 0
+
+    @pytest.mark.parametrize("count", [73, 80, 152, 656])
+    def test_full_bulk_load_never_overfills_an_internal_node(self, count):
+        # 128-byte pages hold 8 keys per node, so these counts leave one
+        # child for the last parent of some level; joining it to the parent
+        # before must not push that parent past its capacity.
+        tree = small_tree(page_size=128)
+        tree.bulk_load([(key, key) for key in range(count)])
+        assert_within_capacity(tree)
+        tree.validate()
+        assert list(tree.items()) == [(key, key) for key in range(count)]
+
+    def test_validate_rejects_an_overfull_leaf(self):
+        tree = small_tree()
+        tree.bulk_load([(key, key) for key in range(10)])
+        leaf = tree.store.load(tree.tree_state()["root"])
+        extra = range(10, tree.leaf_capacity + 1)
+        leaf.keys.extend(extra)
+        leaf.values.extend(extra)
+        with pytest.raises(BPlusTreeError, match="capacity"):
+            tree.validate()
+
+    @pytest.mark.parametrize("scheme", ["sae", "tom"])
+    def test_deployment_refuses_fill_factor_above_one(self, scheme):
+        from repro import OutsourcedDB
+        from repro.workloads.datasets import build_dataset
+
+        dataset = build_dataset(300, record_size=64, seed=3)
+        extra = {"key_bits": 512} if scheme == "tom" else {}
+        with pytest.raises(BPlusTreeError, match="fill factor"):
+            OutsourcedDB(dataset, scheme, index_fill_factor=1.5, **extra).setup()

@@ -152,3 +152,52 @@ class TestQueriesAndMaintenance:
         bare = tree.size_bytes()
         tree.signature = signer.sign(tree.root_digest())
         assert tree.size_bytes() == bare + tree.signature.size
+
+
+class TestSharedBPlusTree:
+    def test_mbtree_is_the_bplus_tree_with_digests(self):
+        from repro.btree.tree import BPlusTree, BPlusTreeError
+
+        assert issubclass(MBTree, BPlusTree)
+        assert issubclass(MBTreeError, BPlusTreeError)
+        maintenance = {
+            "_find_leaf", "range_search", "delete", "_delete_recursive",
+            "_rebalance_child", "_split_leaf", "_split_internal", "_leftmost_key",
+            "_leftmost_key_of", "_intern_subtree", "_min_leaf_entries",
+            "_min_internal_keys", "_free_initial_root", "_charge", "counter",
+            "store", "height", "num_entries", "num_nodes", "num_leaves",
+            "leaf_capacity", "internal_capacity", "__len__",
+        }
+        assert maintenance.isdisjoint(vars(MBTree))
+
+    @pytest.mark.parametrize("fill_factor", [1.5, -1.0, 0.0])
+    def test_bulk_load_refuses_fill_factor_outside_unit_interval(self, fill_factor):
+        tree = make_tree()
+        with pytest.raises(MBTreeError, match="fill factor"):
+            tree.bulk_load([triple(rid, rid) for rid in range(100)], fill_factor=fill_factor)
+        assert len(tree) == 0
+
+    @pytest.mark.parametrize("count", [50, 56, 350])
+    def test_full_bulk_load_never_overfills_an_internal_node(self, count):
+        # 256-byte pages hold 7 entries per leaf and 6 keys per internal
+        # node: these counts leave the last parent of a level one child.
+        tree = make_tree()
+        tree.bulk_load([triple(rid, rid) for rid in range(count)])
+        pending = [tree.tree_state()["root"]]
+        with tree.store.read_op():
+            while pending:
+                node = tree.store.load(pending.pop())
+                if node.is_leaf:
+                    assert len(node.keys) <= tree.leaf_capacity
+                else:
+                    assert len(node.keys) <= tree.internal_capacity
+                    pending.extend(node.children)
+        tree.validate()
+
+    def test_validate_rejects_an_overfull_internal_node(self):
+        tree = make_tree()
+        tree.bulk_load([triple(rid, rid) for rid in range(30)])  # a root over 5 leaves
+        root = tree.store.load(tree.tree_state()["root"])
+        root.keys.extend([10**6] * (tree.internal_capacity + 1 - len(root.keys)))
+        with pytest.raises(MBTreeError, match="capacity"):
+            tree.validate()
