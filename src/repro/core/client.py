@@ -180,9 +180,9 @@ class Client:
         The client then decodes every payload itself, checks (when ``query``
         is given) that each decoded query-attribute value satisfies the
         range, and compares the XOR of the digests of **the bytes it
-        received** with the token -- so a non-canonical encoding of a
-        genuine record is rejected like any other forgery.  A malformed
-        payload is a REJECTED verdict, never an exception.
+        received** with the token.  A malformed payload -- including a
+        non-canonical encoding of a genuine record, which ``decode_record``
+        refuses -- is a REJECTED verdict, never an exception.
 
         ``digest_cache`` (payload -> decoded record and digest) lets a
         batched caller decode and hash each distinct payload once across

@@ -35,6 +35,7 @@ _COUNT = struct.Struct(">I")  # number of fields in the record
 _HEADER = struct.Struct(">BI")  # type tag, payload length
 _INT64 = struct.Struct(">q")
 _FLOAT64 = struct.Struct(">d")
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 class EncodingError(ValueError):
@@ -82,13 +83,35 @@ def encode_record(fields: Sequence[Any]) -> bytes:
     return b"".join(parts)
 
 
+def _decode_big_int(payload: bytes) -> int:
+    """Decode the arbitrary-precision INT fallback: sign byte + magnitude.
+
+    Only the encoding :func:`_encode_field` writes is accepted: a sign byte
+    of ``00`` or ``01``, a magnitude with no leading zero byte, and a value
+    outside int64 (anything inside int64 is always encoded in 8 bytes).
+    """
+    sign, magnitude = payload[:1], payload[1:]
+    if sign not in (b"\x00", b"\x01"):
+        raise EncodingError(f"int field of {len(payload)} bytes is neither int64 nor a big int")
+    if not magnitude or magnitude[0] == 0:
+        raise EncodingError("big-int magnitude is empty or has a leading zero byte")
+    value = int.from_bytes(magnitude, "big")
+    if sign == b"\x01":
+        value = -value
+    if _INT64_MIN <= value <= _INT64_MAX:
+        raise EncodingError(f"int field of {len(payload)} bytes holds an int64 value")
+    return value
+
+
 def decode_record(data: bytes) -> Tuple[Any, ...]:
     """Inverse of :func:`encode_record`.
 
     The SAE client runs this over every payload an untrusted SP sends, so
     it is one flat loop over the ``bytes`` (no per-field call, no copy
     beyond the value itself) and every malformed input -- including a float
-    of the wrong width and invalid UTF-8 -- raises :class:`EncodingError`.
+    of the wrong width, invalid UTF-8 and any non-canonical BOOL, NONE or INT
+    payload -- raises :class:`EncodingError`, so whatever decodes re-encodes
+    to exactly the input bytes.
     """
     if type(data) is not bytes:
         data = bytes(data)
@@ -112,8 +135,7 @@ def decode_record(data: bytes) -> Tuple[Any, ...]:
             if length == 8:
                 append(_INT64.unpack_from(data, start)[0])
             else:
-                sign = -1 if data[start:start + 1] == b"\x01" else 1
-                append(sign * int.from_bytes(data[start + 1:offset], "big"))
+                append(_decode_big_int(data[start:offset]))
         elif tag == _TAG_BYTES:
             append(data[start:offset])
         elif tag == _TAG_STR:
@@ -126,9 +148,17 @@ def decode_record(data: bytes) -> Tuple[Any, ...]:
                 raise EncodingError(f"float field of {length} bytes (expected 8)")
             append(_FLOAT64.unpack_from(data, start)[0])
         elif tag == _TAG_NONE:
+            if length:
+                raise EncodingError(f"none field of {length} bytes (expected 0)")
             append(None)
         elif tag == _TAG_BOOL:
-            append(data[start:offset] == b"\x01")
+            flag = data[start:offset]
+            if flag == b"\x01":
+                append(True)
+            elif flag == b"\x00":
+                append(False)
+            else:
+                raise EncodingError(f"bool field {flag.hex() or 'of 0 bytes'} (expected 00 or 01)")
         else:
             raise EncodingError(f"unknown field tag 0x{tag:02x}")
     if offset != size:

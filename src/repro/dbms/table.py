@@ -178,10 +178,18 @@ class Table:
     # ------------------------------------------------------------------ reads
     def get(self, record_id: Any, charge: bool = True) -> Tuple[Any, ...]:
         """Fetch a record by its logical id."""
-        rid = self._rid_by_id.get(record_id)
-        if rid is None:
-            raise TableError(f"no record with id {record_id!r}")
-        return self._codec.decode(self._heap.get(rid, charge=charge))
+        return self.get_many((record_id,), charge=charge)[0]
+
+    def get_many(self, record_ids: Sequence[Any], charge: bool = True) -> List[Tuple[Any, ...]]:
+        """Fetch records by logical id, in order, through one :meth:`HeapFile.get_many`."""
+        rids = []
+        for record_id in record_ids:
+            rid = self._rid_by_id.get(record_id)
+            if rid is None:
+                raise TableError(f"no record with id {record_id!r}")
+            rids.append(rid)
+        decode = self._codec.decode
+        return [decode(payload) for payload in self._heap.get_many(rids, charge=charge)]
 
     def get_by_rid(self, rid: RecordId, charge: bool = True) -> Tuple[Any, ...]:
         """Fetch a record by its physical record id."""
@@ -199,20 +207,19 @@ class Table:
         fetch each record once; a cache hit is still charged one heap access
         so per-query cost accounting is unchanged.  The cache must not
         outlive the batch (updates would make it stale).
+
+        The qualifying records (only the cache misses, when there is a
+        cache) are fetched through one :meth:`HeapFile.get_many` call.
         """
-        fetch = self._heap.get
-        matches = self._index.range_search(query.low, query.high)
+        rids = [rid for _, rid in self._index.range_search(query.low, query.high)]
         if record_cache is None:
-            return [fetch(rid, charge=charge_heap) for _, rid in matches]
-        payloads = []
-        for _, rid in matches:
-            payload = record_cache.get(rid)
-            if payload is None:
-                payload = record_cache[rid] = fetch(rid, charge=charge_heap)
-            elif charge_heap:
-                self._counter.record_node_access()
-            payloads.append(payload)
-        return payloads
+            return self._heap.get_many(rids, charge=charge_heap)
+        missing = [rid for rid in rids if rid not in record_cache]
+        record_cache.update(zip(missing, self._heap.get_many(missing, charge=charge_heap)))
+        hits = len(rids) - len(missing)
+        if charge_heap and hits:
+            self._counter.record_node_access(hits)
+        return [record_cache[rid] for rid in rids]
 
     def range_query(self, query: RangeQuery, fetch_records: bool = True,
                     charge_heap: bool = True) -> List[Tuple[Any, ...]]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.storage.constants import DEFAULT_PAGE_SIZE
 from repro.storage.cost_model import AccessCounter
@@ -65,14 +65,19 @@ class Pager:
         """Fetch a page by id."""
         raise NotImplementedError
 
-    def read_page_bytes(self, page_id: PageId) -> bytes:
-        """Fetch a page's raw contents for read-only use.
+    def read_pages_bytes(self, page_ids: Sequence[PageId]) -> List[bytes]:
+        """Fetch the raw contents of ``page_ids`` for read-only use, in order.
 
-        The default implementation goes through :meth:`read_page`; pagers
-        that hold page images in memory override this to skip the
-        :class:`Page` object construction on the read-heavy query path.
+        This is the heap file's record-retrieval path: no :class:`Page`
+        object is built, and the whole batch charges one read per requested
+        id in a single counter call.  An id may repeat (one per record
+        fetched from that page).
         """
-        return self.read_page(page_id).snapshot()
+        raise NotImplementedError
+
+    def read_page_bytes(self, page_id: PageId) -> bytes:
+        """Fetch one page's raw contents: the one-element :meth:`read_pages_bytes`."""
+        return self.read_pages_bytes((page_id,))[0]
 
     def write_page(self, page: Page) -> None:
         """Persist a page."""
@@ -135,13 +140,14 @@ class InMemoryPager(Pager):
         self._counter.record_read()
         return Page(page_id, self._page_size, raw)
 
-    def read_page_bytes(self, page_id: PageId) -> bytes:
+    def read_pages_bytes(self, page_ids: Sequence[PageId]) -> List[bytes]:
+        pages = self._pages
         try:
-            raw = self._pages[int(page_id)]
-        except KeyError:
-            raise PageError(f"page {page_id} has not been allocated") from None
-        self._counter.record_read()
-        return raw
+            images = [pages[page_id] for page_id in page_ids]
+        except KeyError as exc:
+            raise PageError(f"page {exc.args[0]} has not been allocated") from None
+        self._counter.record_read(len(images))
+        return images
 
     def write_page(self, page: Page) -> None:
         if int(page.page_id) not in self._pages:
@@ -230,6 +236,22 @@ class FileBackedPager(Pager):
         self._counter.record_read()
         return Page(page_id, self._page_size, raw)
 
+    def read_pages_bytes(self, page_ids: Sequence[PageId]) -> List[bytes]:
+        # One lock hold for the whole batch; a page named by several records
+        # is fetched from the file once but charged once per request.
+        page_size = self._page_size
+        images: Dict[int, bytes] = {}
+        with self._io_lock:
+            for page_id in page_ids:
+                if page_id in images:
+                    continue
+                if not (0 <= page_id < self._next_id):
+                    raise PageError(f"page {page_id} is out of range")
+                self._file.seek(page_id * page_size)
+                images[page_id] = self._file.read(page_size)
+        self._counter.record_read(len(page_ids))
+        return [images[page_id] for page_id in page_ids]
+
     def write_page(self, page: Page) -> None:
         if not (0 <= int(page.page_id) < self._next_id):
             raise PageError(f"page {page.page_id} is out of range")
@@ -243,6 +265,8 @@ class FileBackedPager(Pager):
         if not (0 <= int(page_id) < self._next_id):
             raise PageError(f"page {page_id} is out of range")
         with self._io_lock:
+            if int(page_id) in self._free_list:
+                raise PageError(f"page {page_id} is already free")
             self._free_list.append(int(page_id))
 
     def free_page_ids(self) -> List[int]:

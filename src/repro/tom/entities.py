@@ -339,7 +339,7 @@ class TomServiceProvider(SingleShard):
                 query.high,
                 record_loader=lambda record_id: self._table.get(record_id, charge=True),
             )
-            records = [self._table.get(record_id, charge=True) for _, record_id in matches]
+            records = self._table.get_many([record_id for _, record_id in matches])
             cpu_ms = (time.perf_counter() - started) * 1000.0
         receipt = self._make_receipt(tally.node_accesses, cpu_ms, pool, memo)
         if ctx is not None:
@@ -355,7 +355,7 @@ class TomServiceProvider(SingleShard):
         if self._table is None or self._ads is None:
             raise TomError("the service provider has not received a dataset yet")
         matches = self._ads.range_search(query.low, query.high)
-        return [self._table.get(record_id, charge=True) for _, record_id in matches]
+        return self._table.get_many([record_id for _, record_id in matches])
 
     def index_only_accesses(self, query: RangeQuery) -> int:
         """Node accesses of the MB-tree traversal and leaf scan alone."""

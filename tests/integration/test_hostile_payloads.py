@@ -27,14 +27,15 @@ def dataset():
 def sign_magnitude(payload):
     """Re-encode a genuine record with its first int in the sign+magnitude form.
 
-    ``decode_record`` reads both forms to the same value; only the 8-byte
-    two's-complement one is what the owner's ``encode_record`` produces.
+    Every tuple and key stays right; only the bytes differ from what the
+    owner's ``encode_record`` produced.  The big-int form is canonical only
+    outside int64, so the client's decode refuses it.
     """
     record = decode_record(payload)
     canonical = encode_record(record[:1])[4:]
     loose = struct.pack(">BI", 0x01, 9) + b"\x00" + record[0].to_bytes(8, "big")
     forged = payload[:4] + loose + payload[4 + len(canonical):]
-    assert forged != payload and decode_record(forged) == record
+    assert forged != payload
     return forged
 
 
@@ -56,6 +57,7 @@ DEFECTS = {
     "missing-fields": (with_fields(lambda r: r[:1]), "has 1 fields, the relation has 3"),
     "key-of-wrong-type": (with_fields(lambda r: (r[0], "nine", r[2])), "no key comparable"),
     "sp-supplied-tuple": (decode_record, "is not a byte string"),
+    "non-canonical-int": (sign_magnitude, "big-int magnitude is empty or has a leading zero byte"),
 }
 
 
@@ -117,20 +119,6 @@ def test_sharded_leg_pinpoints_the_shard_that_sent_malformed_bytes(
             assert [shard for shard, verdict in verdicts.items() if not verdict.ok] == [victim]
             assert verdicts[victim].records_hashed == 0
             assert outcome.receipt.matches_leg_sums()
-
-
-def test_non_canonical_encoding_of_a_genuine_record_fails_the_token_check(
-    monkeypatch, dataset
-):
-    with OutsourcedDB(dataset, scheme="sae").setup() as db:
-        genuine = db.query(*FULL)
-        install(monkeypatch, db.provider, sign_magnitude)
-        for outcome in [db.query(*FULL)] + db.query_many([FULL]):
-            # Every tuple and every key is right; only the bytes differ.
-            assert outcome.records == genuine.records
-            assert not outcome.verified
-            assert "does not match the verification token" in outcome.verification.reason
-            assert outcome.verification.records_hashed == len(genuine.records)
 
 
 def test_unverified_query_reports_malformed_bytes_without_raising(monkeypatch, dataset):

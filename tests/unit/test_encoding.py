@@ -1,6 +1,10 @@
 """Unit tests for the canonical record encoding."""
 
+import struct
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.encoding import (
     EncodingError,
@@ -78,6 +82,60 @@ class TestEncodeDecodeRoundTrip:
         blob = b"\x00\x00\x00\x01" + b"\x7f" + b"\x00\x00\x00\x00"
         with pytest.raises(EncodingError, match="unknown field tag 0x7f"):
             decode_record(blob)
+
+
+def one_field(tag: int, payload: bytes) -> bytes:
+    """A one-field record with the given raw tag and payload."""
+    return struct.pack(">IBI", 1, tag, len(payload)) + payload
+
+
+#: Records whose headers are well formed but whose payloads are arbitrary,
+#: so the property below reaches every tag's payload checks.
+framed_records = st.lists(
+    st.tuples(st.integers(0, 6), st.binary(max_size=12)), max_size=4
+).map(lambda fields: struct.pack(">I", len(fields)) + b"".join(
+    struct.pack(">BI", tag, len(payload)) + payload for tag, payload in fields
+))
+
+
+class TestNonCanonicalEncodingsRejected:
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            one_field(0x05, b"\x00\x00"),            # BOOL of length 2
+            one_field(0x05, b"\x07"),                # BOOL byte 0x07
+            one_field(0x00, b"abc"),                 # NONE with a payload
+            one_field(0x01, b""),                    # INT of length 0
+            one_field(0x01, b"\x00\x00\x05"),        # big-int form of an int64 value
+        ],
+        ids=["bool-len-2", "bool-0x07", "none-len-3", "int-len-0", "int-short-5"],
+    )
+    def test_rejected(self, blob):
+        with pytest.raises(EncodingError):
+            decode_record(blob)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [b"\x02\x80" + b"\x00" * 8, b"\x00\x00\x80" + b"\x00" * 8, b"\x01"],
+        ids=["sign-0x02", "leading-zero-byte", "no-magnitude"],
+    )
+    def test_big_int_must_be_minimal(self, payload):
+        with pytest.raises(EncodingError):
+            decode_record(one_field(0x01, payload))
+
+    def test_big_int_edges_round_trip(self):
+        for value in (2**63, -(2**63) - 1, 2**200, -(2**64)):
+            assert decode_record(encode_record((value,))) == (value,)
+        assert len(encode_record((-(2**63),))) == 4 + 5 + 8
+
+    @given(st.one_of(st.binary(max_size=64), framed_records))
+    @settings(max_examples=400, deadline=None)
+    def test_whatever_decodes_re_encodes_to_the_same_bytes(self, blob):
+        try:
+            record = decode_record(blob)
+        except EncodingError:
+            return
+        assert encode_record(record) == blob
 
 
 class TestRecordCodec:

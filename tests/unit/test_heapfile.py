@@ -114,3 +114,23 @@ class TestHeapFileScanAndCounters:
         payloads = [bytes([i % 251]) * (i % 50 + 1) for i in range(200)]
         rids = [heap.insert(payload) for payload in payloads]
         assert [heap.get(rid, charge=False) for rid in rids] == payloads
+
+
+class TestHeapFileGetMany:
+    def test_matches_get_across_several_pager_calls(self, heap):
+        payloads = [bytes([i % 251]) * (i % 50 + 1) for i in range(200)]
+        rids = [heap.insert(payload) for payload in payloads]
+        order = list(reversed(rids)) + rids[::7]
+        expected = [heap.get(rid, charge=False) for rid in order]
+        page_reads = heap.pager.counter.page_reads
+        with heap.counter.scoped() as tally:
+            fetched = heap.get_many(order)
+        assert fetched == expected
+        assert tally.node_accesses == len(order)
+        assert heap.pager.counter.page_reads == page_reads + len(order)
+
+    def test_empty_batch_reads_nothing(self, heap):
+        heap.insert(b"x")
+        before = (heap.counter.node_accesses, heap.pager.counter.page_reads)
+        assert heap.get_many([]) == []
+        assert (heap.counter.node_accesses, heap.pager.counter.page_reads) == before

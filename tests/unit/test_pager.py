@@ -69,6 +69,35 @@ class TestPagerBasics:
         second = pager.allocate()
         assert second == first
 
+    def test_double_free_raises(self, pager):
+        page_id = pager.allocate()
+        pager.free(page_id)
+        with pytest.raises(PageError):
+            pager.free(page_id)
+        assert pager.allocate() == page_id
+        assert pager.allocate() != page_id
+
+    def test_read_pages_bytes_in_order_with_repeats(self, pager):
+        ids = [pager.allocate() for _ in range(3)]
+        for page_id in ids:
+            page = pager.read_page(page_id)
+            page.write(bytes([int(page_id) + 1]) * 4)
+            pager.write_page(page)
+        reads = pager.counter.page_reads
+        wanted = [ids[2], ids[0], ids[2], ids[1]]
+        images = pager.read_pages_bytes(wanted)
+        assert [image[:4] for image in images] == [bytes([int(p) + 1]) * 4 for p in wanted]
+        assert all(len(image) == 256 for image in images)
+        assert images == [pager.read_page_bytes(page_id) for page_id in wanted]
+        assert pager.counter.page_reads == reads + 2 * len(wanted)
+
+    def test_read_pages_bytes_unknown_page_raises_uncharged(self, pager):
+        page_id = pager.allocate()
+        reads = pager.counter.page_reads
+        with pytest.raises(PageError):
+            pager.read_pages_bytes([page_id, PageId(99)])
+        assert pager.counter.page_reads == reads
+
 
 class TestInMemoryPagerSpecifics:
     def test_freed_page_cannot_be_read(self):

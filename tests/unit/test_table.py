@@ -1,10 +1,14 @@
 """Unit tests for the heap-file table with a B+-tree index."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.dbms.catalog import TableSchema
 from repro.dbms.query import RangeQuery
 from repro.dbms.table import Table, TableError
+from repro.storage.pager import FileBackedPager
 
 
 @pytest.fixture()
@@ -131,3 +135,88 @@ class TestBulkLoadAndReporting:
         before = table.counter.node_accesses
         table.range_query(RangeQuery(low=0, high=1000))
         assert table.counter.node_accesses > before
+
+
+class TestBatchedReads:
+    @staticmethod
+    def index_accesses(table, query):
+        with table.counter.scoped() as tally:
+            table.range_query(query, fetch_records=False)
+        return tally.node_accesses
+
+    def test_get_many_matches_get(self, table):
+        table.bulk_load([rec(i) for i in range(40)])
+        ids = [7, 3, 39, 3, 0]
+        with table.counter.scoped() as tally:
+            records = table.get_many(ids)
+        assert records == [table.get(i, charge=False) for i in ids]
+        assert tally.node_accesses == len(ids)
+
+    def test_get_many_missing_id_raises_uncharged(self, table):
+        table.bulk_load([rec(i) for i in range(5)])
+        before = table.counter.node_accesses
+        with pytest.raises(TableError, match="no record with id 99"):
+            table.get_many([1, 99, 2])
+        assert table.counter.node_accesses == before
+
+    def test_range_payloads_charges_one_heap_access_per_record(self, table):
+        table.bulk_load([rec(i) for i in range(300)])
+        query = RangeQuery(low=500, high=1500)
+        index = self.index_accesses(table, query)
+        with table.counter.scoped() as tally:
+            payloads = table.range_payloads(query)
+        assert len(payloads) == 101
+        assert tally.node_accesses == index + len(payloads)
+        with table.counter.scoped() as tally:
+            table.range_payloads(query, charge_heap=False)
+        assert tally.node_accesses == index
+
+    def test_record_cache_hits_are_charged_like_fetches(self, table):
+        table.bulk_load([rec(i) for i in range(300)])
+        cache = {}
+        # (low, high, records not yet in the cache): a cold query, the same
+        # query fully cached, a half-overlapping one, a disjoint one.
+        for low, high, new in [(500, 1500, 101), (500, 1500, 0), (1000, 2500, 100), (0, 100, 11)]:
+            query = RangeQuery(low=low, high=high)
+            index = self.index_accesses(table, query)
+            expected = table.range_payloads(query, charge_heap=False)
+            cached_before = len(cache)
+            with table.counter.scoped() as tally:
+                payloads = table.range_payloads(query, record_cache=cache)
+            assert payloads == expected
+            assert len(cache) - cached_before == new
+            assert tally.node_accesses == index + len(payloads)
+
+    def test_threads_sharing_a_record_cache_each_see_their_own_charges(self, schema, tmp_path):
+        pager = FileBackedPager(str(tmp_path / "heap.db"), page_size=512)
+        table = Table(schema, page_size=512, heap_pager=pager)
+        table.bulk_load([rec(i) for i in range(300)])
+        queries = [RangeQuery(low=low, high=low + 800) for low in range(0, 2300, 100)]
+        expected = [
+            (self.index_accesses(table, query), table.range_payloads(query, charge_heap=False))
+            for query in queries
+        ]
+        cache, failures = {}, []
+
+        def reader(offset):
+            for step in range(len(queries)):
+                position = (offset + step) % len(queries)
+                with table.counter.scoped() as tally:
+                    payloads = table.range_payloads(queries[position], record_cache=cache)
+                index, want = expected[position]
+                if payloads != want or tally.node_accesses != index + len(want):
+                    failures.append(position)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(offset,)) for offset in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            pager.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
