@@ -10,10 +10,10 @@ qualifying ``RecordId``s, then fetch the records from the heap file.  The
 paper's Figure 6 cost therefore includes the data-file accesses, which is
 why the heap file reports node accesses through the same
 :class:`~repro.storage.cost_model.AccessCounter` as the indexes.  A range
-read hands :meth:`HeapFile.get_many` all of its RIDs at once: the page
-images come from the pager in batches of up to 64, and the read charges one
-node access and one page read per record in one counter call per batch --
-exactly what fetching the records one by one would charge.
+read hands :meth:`HeapFile.get_many` all of its RIDs at once: it charges
+one node access per record in one counter call, and the pager, which hands
+over the page images 64 RIDs at a time, one page read per record in one
+call per batch -- exactly what fetching the records one by one would charge.
 
 Page layout (offsets in bytes)::
 
@@ -74,9 +74,9 @@ class HeapFile:
 
     Thread-safety: concurrent ``get``/``get_many``/``scan`` calls are safe
     (the file-backed pager serialises its seek/read pairs internally, and
-    reads a whole ``get_many`` batch under one hold of its lock); mutations
-    (``insert``/``delete``/``update``) require external mutual exclusion,
-    which the schemes provide through their read/write lock.  Bad RIDs,
+    reads each of a ``get_many``'s pager calls under one hold of its lock);
+    mutations (``insert``/``delete``/``update``) require external mutual
+    exclusion, which the schemes provide through their read/write lock.  Bad RIDs,
     tombstoned records and oversized payloads raise
     :class:`HeapFileError`.
     """
