@@ -7,7 +7,8 @@ statistics are meaningful:
 * ``GenerateVT`` on the XB-tree (the TE's per-query work),
 * the B+-tree range search (the SAE SP's index work),
 * the MB-tree range search and VO construction (the TOM SP's work),
-* SAE client verification (hash + XOR of the result records),
+* SAE client verification (decode, hash + XOR of the result records), over
+  fixed-width payloads and payloads of all different lengths,
 * TOM client verification (root reconstruction + RSA signature check),
 * XB-tree maintenance (insert + delete of one tuple).
 """
@@ -16,6 +17,7 @@ import pytest
 
 from repro.core.client import Client
 from repro.core.tuples import digest_record
+from repro.crypto.digest import fold_xor
 from repro.crypto.encoding import encode_record
 from repro.crypto.signatures import make_rsa_pair
 from repro.crypto.xor import digest_of_record
@@ -93,10 +95,18 @@ def test_mbtree_vo_construction(benchmark, signed_mbtree, records):
     assert vo.count_markers() == len(result)
 
 
-def test_sae_client_verification(benchmark, query_result):
+@pytest.mark.parametrize("widths", ["fixed", "all-different"])
+def test_sae_client_verification(benchmark, query_result, widths):
+    # "all-different": no two consecutive payloads share a length, so the
+    # client never compiles a record layout and decodes field by field.
+    if widths == "all-different":
+        query_result = [(rid, key, payload + b"+" * index)
+                        for index, (rid, key, payload) in enumerate(query_result)]
     client = Client(key_index=1)
     payloads = [encode_record(fields) for fields in query_result]  # what the SP ships
-    token = client.compute_result_xor(payloads)
+    assert len({len(payload) for payload in payloads}) == (
+        1 if widths == "fixed" else len(payloads))
+    token = fold_xor(digest_record(fields) for fields in query_result)
     outcome = benchmark(lambda: client.verify(payloads, token,
                                               query=RangeQuery(low=QUERY_LOW, high=QUERY_HIGH)))
     assert outcome.ok

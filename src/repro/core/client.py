@@ -15,7 +15,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.epoch import classify_epoch
 from repro.crypto.digest import Digest, DigestScheme, default_scheme
-from repro.crypto.encoding import EncodingError, decode_record
+from repro.crypto.encoding import EncodingError, compile_layout, decode_record
 from repro.dbms.query import RangeQuery
 
 
@@ -31,7 +31,9 @@ class SAEVerificationResult:
     ``records`` are the tuples the client itself decoded from the payload
     bytes it received (and, unless skipped, hashed); a verdict reached
     before the token comparison carries none.  ``cpu_ms`` covers the hash,
-    the XOR fold *and* the decode the range check needs -- no re-encoding.
+    the XOR fold *and* the decode the range check needs -- no re-encoding;
+    a result of same-shape records is decoded one unpack per record
+    through a compiled ``RecordLayout``.
     """
 
     ok: bool
@@ -83,14 +85,6 @@ class Client:
         """Digest scheme shared with the TE."""
         return self._scheme
 
-    def compute_result_xor(self, payloads: Sequence[bytes]) -> Digest:
-        """``RS_SP⊕``: XOR of the digests of the received record payloads."""
-        hasher = self._scheme.hasher
-        value = 0
-        for payload in payloads:
-            value ^= int.from_bytes(hasher(payload).digest(), "big")
-        return self._digest_of(value)
-
     def _digest_of(self, value: int) -> Digest:
         return self._scheme.from_bytes(value.to_bytes(self._scheme.digest_size, "big"))
 
@@ -105,17 +99,34 @@ class Client:
         The payloads are untrusted: anything that is not the encoding of a
         record of the relation's arity comes back as a ``defect`` naming
         it (with no records), never as an exception.
+
+        A relation's records usually all encode to one length, so when two
+        consecutive payloads decoded here have the same length, the first
+        one's ``RecordLayout`` is compiled and reads every following payload
+        of that length in one unpack (it hands anything of another shape to
+        ``decode_record``).  The layout lives for this call only.
         """
         hasher = self._scheme.hasher
         records: List[Tuple[Any, ...]] = []
         value = 0
+        shape = -1  # length of the last payload decode_record accepted here
+        previous = b""  # that payload
+        decode_shape = None  # decodes a payload of length ``shape``, once compiled
         for payload in payloads:
             if type(payload) is not bytes:
                 return [], 0, f"result item of type {type(payload).__name__} is not a byte string"
             opened = digest_cache.get(payload) if digest_cache is not None else None
             if opened is None:
+                size = len(payload)
                 try:
-                    record = decode_record(payload)
+                    if size != shape:
+                        record = decode_record(payload)
+                        shape, previous, decode_shape = size, payload, None
+                    else:
+                        if decode_shape is None:
+                            layout = compile_layout(previous)
+                            decode_shape = decode_record if layout is None else layout.decode
+                        record = decode_shape(payload)
                 except EncodingError as exc:
                     return [], 0, f"undecodable record payload: {exc}"
                 if self._arity is not None and len(record) != self._arity:
@@ -180,9 +191,13 @@ class Client:
         The client then decodes every payload itself, checks (when ``query``
         is given) that each decoded query-attribute value satisfies the
         range, and compares the XOR of the digests of **the bytes it
-        received** with the token.  A malformed payload -- including a
-        non-canonical encoding of a genuine record, which ``decode_record``
-        refuses -- is a REJECTED verdict, never an exception.
+        received** with the token.  From the second of two consecutive
+        payloads of one length on, the decode is one ``struct`` unpack
+        through the first one's compiled ``RecordLayout``; a payload of
+        another shape goes to ``decode_record``, and both accept the same
+        bytes.  A malformed payload -- including a non-canonical encoding
+        of a genuine record, which ``decode_record`` refuses -- is a
+        REJECTED verdict naming the first defect, never an exception.
 
         ``digest_cache`` (payload -> decoded record and digest) lets a
         batched caller decode and hash each distinct payload once across

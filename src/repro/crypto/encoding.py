@@ -17,12 +17,17 @@ The encoding is deliberately simple, deterministic and self-describing:
 Because lengths are explicit, the encoding is prefix-free per field and two
 distinct records can never encode to the same byte string (which would
 otherwise silently weaken the collision-resistance argument of the paper).
+
+Every record of a relation usually has the same shape, so besides the
+general :func:`decode_record` this module compiles a :class:`RecordLayout`
+from one payload: a single ``struct`` unpack that reads any payload of the
+same shape and accepts exactly what :func:`decode_record` accepts.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any, List, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 _TAG_NONE = 0x00
 _TAG_INT = 0x01
@@ -114,6 +119,11 @@ def decode_record(data: bytes) -> Tuple[Any, ...]:
     to exactly the input bytes.
     """
     if type(data) is not bytes:
+        if not isinstance(data, (bytes, bytearray, memoryview)):
+            raise EncodingError(
+                f"cannot decode a record from {type(data).__name__} "
+                "(expected bytes, bytearray or memoryview)"
+            )
         data = bytes(data)
     size = len(data)
     if size < 4:
@@ -164,6 +174,99 @@ def decode_record(data: bytes) -> Tuple[Any, ...]:
     if offset != size:
         raise EncodingError(f"{size - offset} trailing bytes after record")
     return tuple(fields)
+
+
+_FLAGS = {b"\x00": False, b"\x01": True}
+
+#: tag -> (the one payload length a layout takes, struct code, value converter).
+#: ``None`` length: any; ``None`` code: ``"<length>s"``; ``None`` converter:
+#: the unpacked value is the field.  A big INT is absent because its width
+#: is part of its value.
+_LAYOUT_FIELDS = {
+    _TAG_INT: (8, "q", None),
+    _TAG_FLOAT: (8, "d", None),
+    _TAG_BYTES: (None, None, None),
+    _TAG_STR: (None, None, bytes.decode),  # UTF-8, strict
+    _TAG_BOOL: (1, None, _FLAGS.__getitem__),
+    _TAG_NONE: (0, None, lambda empty: None),
+}
+
+
+class RecordLayout:
+    """One record shape -- field count, tags and lengths -- read in one unpack.
+
+    A relation's records usually share every header word.  A layout is
+    compiled by :func:`compile_layout` from one payload into a single
+    ``struct.Struct`` that unpacks a payload of that length into header
+    words and values, alternating: the count with the first field's
+    ``(tag, length)`` header as one word, then each later header as one,
+    each followed by its field's value.  :meth:`decode` compares the even
+    words with the compiled payload's header bytes and takes the odd ones
+    as the record; a payload of another length or with any other header
+    word, and a STR or BOOL value the checks refuse, goes to
+    :func:`decode_record`.  So :meth:`decode` returns what
+    :func:`decode_record` returns and raises what it raises, message
+    included.
+    """
+
+    __slots__ = ("_unpack", "_headers", "_converters")
+
+    def __init__(self, data: bytes, fmt: str, converters: Sequence[Any]):
+        self._unpack = struct.Struct(fmt).unpack
+        self._headers = self._unpack(data)[0::2]
+        if any(converters):
+            self._converters = tuple(convert or (lambda value: value) for convert in converters)
+        else:
+            self._converters = None
+
+    def decode(self, data: bytes) -> Tuple[Any, ...]:
+        """:func:`decode_record` of ``data``, in one unpack when it has this shape."""
+        try:
+            words = self._unpack(data)
+        except (struct.error, TypeError):  # another length, or not a buffer
+            return decode_record(data)
+        if words[0::2] != self._headers:
+            return decode_record(data)
+        if self._converters is None:
+            return words[1::2]
+        try:
+            return tuple(convert(value) for convert, value in zip(self._converters, words[1::2]))
+        except (UnicodeDecodeError, KeyError):  # bad UTF-8 or BOOL byte: name the first one
+            return decode_record(data)
+
+
+def compile_layout(data: bytes) -> Optional[RecordLayout]:
+    """The :class:`RecordLayout` of ``data``, or ``None`` if it has none.
+
+    ``data`` is meant to be a payload :func:`decode_record` has accepted.
+    A record with a big INT has no layout, and neither has anything whose
+    headers :func:`decode_record` would refuse, so a layout never accepts
+    bytes :func:`decode_record` refuses.
+    """
+    size = len(data)
+    if size < 4:
+        return None
+    (count,) = _COUNT.unpack_from(data, 0)
+    fmt = [">"]
+    lead = _COUNT.size  # the count rides in the first header word
+    converters = []
+    offset = 4
+    for _ in range(count):
+        if offset + _HEADER.size > size:
+            return None
+        tag, length = _HEADER.unpack_from(data, offset)
+        spec = _LAYOUT_FIELDS.get(tag)
+        if spec is None or (spec[0] is not None and length != spec[0]):
+            return None
+        fmt.append(f"{lead + _HEADER.size}s" + (spec[1] or f"{length}s"))
+        lead = 0
+        converters.append(spec[2])
+        offset += _HEADER.size + length
+    if offset != size:
+        return None
+    if not count:
+        fmt.append(f"{lead}s")
+    return RecordLayout(data, "".join(fmt), converters)
 
 
 class RecordCodec:

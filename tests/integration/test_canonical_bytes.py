@@ -16,7 +16,7 @@ import pytest
 from repro.core import OutsourcedDB, UpdateBatch
 from repro.core.design import PhysicalDesign
 from repro.core.tuples import digest_record
-from repro.crypto.encoding import decode_record, encode_record
+from repro.crypto.encoding import RecordLayout, decode_record, encode_record
 from repro.workloads import build_dataset
 
 PARITY_FIXTURE = os.path.join(
@@ -72,10 +72,14 @@ def test_stored_payload_is_the_canonical_encoding_the_te_digested(tmp_path, stor
 # ---------------------------------------------------------------------- (ii) the counts
 @pytest.fixture()
 def codec_calls(monkeypatch):
-    """Count every record encode / decode made anywhere under ``repro``."""
+    """Count every record encode / decode made anywhere under ``repro``.
+
+    ``decode`` counts generic ``decode_record`` calls and ``layout`` the
+    records read through a compiled ``RecordLayout`` in one unpack.
+    """
     import sys
 
-    calls = {"encode": 0, "decode": 0}
+    calls = {"encode": 0, "decode": 0, "layout": 0}
 
     def counting(name, real):
         def wrapper(value):
@@ -94,6 +98,13 @@ def codec_calls(monkeypatch):
         for attribute, (real, counted) in replacements.items():
             if getattr(module, attribute, None) is real:
                 monkeypatch.setattr(module, attribute, counted)
+    layout_decode = RecordLayout.decode
+
+    def counted_layout_decode(layout, data):
+        calls["layout"] += 1
+        return layout_decode(layout, data)
+
+    monkeypatch.setattr(RecordLayout, "decode", counted_layout_decode)
     return calls
 
 
@@ -102,29 +113,36 @@ def test_honest_query_encodes_nothing_and_decodes_each_record_once(
     tmp_path, codec_calls, design
 ):
     with deploy(tmp_path, "memory", **design) as db:
-        codec_calls.update(encode=0, decode=0)
+        codec_calls.update(encode=0, decode=0, layout=0)
         outcome = db.query(0, 2_000_000)
         assert outcome.verified and outcome.cardinality > 100
-        assert codec_calls == {"encode": 0, "decode": outcome.cardinality}
+        legs = len(outcome.receipt.legs) or 1  # an unsharded query carries no legs
+        # Every record is decoded once; only each leg's first record goes
+        # through decode_record, the rest share its layout.
+        assert codec_calls == {
+            "encode": 0, "decode": legs, "layout": outcome.cardinality - legs
+        }
 
 
 def test_query_many_decodes_each_distinct_payload_of_a_batch_once(tmp_path, codec_calls):
     with deploy(tmp_path, "memory") as db:
-        codec_calls.update(encode=0, decode=0)
+        codec_calls.update(encode=0, decode=0, layout=0)
         outcomes = db.query_many([(0, 2_000_000), (1_000_000, 3_000_000), (0, 3_000_000)])
         assert all(outcome.verified for outcome in outcomes)
         distinct = {record for outcome in outcomes for record in outcome.records}
         assert sum(o.cardinality for o in outcomes) > len(distinct)  # the bounds overlap
-        assert codec_calls == {"encode": 0, "decode": len(distinct)}
+        # The third bound's records are all in the batch's digest cache, so
+        # only the first two results have a lead record for decode_record.
+        assert codec_calls == {"encode": 0, "decode": 2, "layout": len(distinct) - 2}
 
 
 def test_sqlite_backend_encodes_each_row_once(tmp_path, codec_calls):
     dataset = build_dataset(300, record_size=96, seed=11)
     with OutsourcedDB(dataset, scheme="sae", backend="sqlite").setup() as db:
-        codec_calls.update(encode=0, decode=0)
+        codec_calls.update(encode=0, decode=0, layout=0)
         outcome = db.query(0, 10_000_000)
         assert outcome.verified and outcome.cardinality == 300
-        assert codec_calls == {"encode": 300, "decode": 300}
+        assert codec_calls == {"encode": 300, "decode": 1, "layout": 299}
 
 
 # ---------------------------------------------------------------------- (iii) receipt parity

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.crypto.encoding import (
     EncodingError,
     RecordCodec,
+    compile_layout,
     decode_record,
     encode_record,
 )
@@ -83,6 +84,16 @@ class TestEncodeDecodeRoundTrip:
         with pytest.raises(EncodingError, match="unknown field tag 0x7f"):
             decode_record(blob)
 
+    @pytest.mark.parametrize("value", [4, [0, 0, 0, 0], "abc", None],
+                             ids=["int", "list", "str", "none"])
+    def test_input_that_is_not_a_buffer_raises_naming_its_type(self, value):
+        with pytest.raises(EncodingError, match=f"from {type(value).__name__} "):
+            decode_record(value)
+
+    def test_bytearray_and_memoryview_decode_like_bytes(self):
+        data = encode_record((1, "a", b"z"))
+        assert decode_record(bytearray(data)) == decode_record(memoryview(data)) == (1, "a", b"z")
+
 
 def one_field(tag: int, payload: bytes) -> bytes:
     """A one-field record with the given raw tag and payload."""
@@ -136,6 +147,83 @@ class TestNonCanonicalEncodingsRejected:
         except EncodingError:
             return
         assert encode_record(record) == blob
+
+
+def outcome(decode, blob):
+    """What ``decode(blob)`` returns, or the message it refuses ``blob`` with."""
+    try:
+        return repr(decode(blob))  # repr(): a mutated float may be a NaN
+    except EncodingError as exc:
+        return f"EncodingError: {exc}"
+
+
+class TestRecordLayout:
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            encode_record((1, 2**70)),               # a big INT's width is its value
+            b"\x00\x00",                              # shorter than a count
+            one_field(0x7F, b""),                    # unknown tag
+            one_field(0x02, b"\x00" * 4),             # FLOAT of 4 bytes
+            one_field(0x05, b"\x01\x01"),             # BOOL of 2 bytes
+            encode_record((1,)) + b"\x00",            # trailing byte
+            struct.pack(">I", 2) + encode_record((1,))[4:],  # a field short
+        ],
+        ids=["big-int", "short", "unknown-tag", "float-4", "bool-2", "trailing", "count-2"],
+    )
+    def test_shapes_decode_record_refuses_compile_to_nothing(self, blob):
+        assert compile_layout(blob) is None
+
+    @pytest.mark.parametrize(
+        "genuine, forged",
+        [
+            (one_field(0x03, b"ab"), one_field(0x03, b"a\xff")),
+            (one_field(0x05, b"\x01"), one_field(0x05, b"\x02")),
+            (encode_record((1, "a", True)), encode_record((1, "a", True))[:-1] + b"\x07"),
+            (encode_record((7,)), struct.pack(">I", 0) + b"\x00" * 13),   # no fields, trailing
+        ],
+        ids=["bad-utf8", "bool-0x02", "bool-last", "count-0"],
+    )
+    def test_decode_refuses_what_decode_record_refuses_with_its_message(self, genuine, forged):
+        layout = compile_layout(genuine)
+        assert layout.decode(genuine) == decode_record(genuine)
+        assert len(forged) == len(genuine)
+        assert outcome(layout.decode, forged) == outcome(decode_record, forged)
+        assert outcome(layout.decode, forged).startswith("EncodingError")
+
+    @pytest.mark.parametrize(
+        "genuine, other",
+        [
+            (encode_record((1.5,)), encode_record((2,))),  # same length, INT for FLOAT
+            (encode_record((1,)), encode_record((1, None))),
+            (encode_record((1,)), encode_record((1,))[:-1]),
+            (encode_record((1,)), "abc"),
+            (encode_record((1,)), 4),
+        ],
+        ids=["retagged", "longer", "shorter", "str", "int"],
+    )
+    def test_other_shapes_and_types_go_to_decode_record(self, genuine, other):
+        layout = compile_layout(genuine)
+        assert outcome(layout.decode, other) == outcome(decode_record, other)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(-(2**63), 2**63 - 1), st.floats(), st.text(max_size=8),
+                st.binary(max_size=8), st.booleans(), st.none(),
+            ),
+            max_size=5,
+        ),
+        st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), min_size=1, max_size=3),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_decode_agrees_with_decode_record_on_same_length_rewrites(self, fields, writes):
+        genuine = encode_record(fields)
+        layout = compile_layout(genuine)
+        forged = bytearray(genuine)
+        for position, byte in writes:
+            forged[position % len(forged)] = byte
+        assert outcome(layout.decode, bytes(forged)) == outcome(decode_record, bytes(forged))
 
 
 class TestRecordCodec:

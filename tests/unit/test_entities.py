@@ -34,7 +34,7 @@ class TestClient:
         ds = dataset(12)
         client = Client()
         expected = fold_xor(digest_record(record) for record in ds.records)
-        assert client.compute_result_xor(payloads_of(ds)) == expected
+        assert client.verify(payloads_of(ds), expected).computed == expected
 
     def test_verify_accepts_matching_token(self):
         ds = dataset(5)
