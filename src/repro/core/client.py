@@ -106,8 +106,9 @@ class Client:
         of that length in one unpack (it hands anything of another shape to
         ``decode_record``).  The layout lives for this call only.
         """
-        hasher = self._scheme.hasher
+        hasher, arity = self._scheme.hasher, self._arity
         records: List[Tuple[Any, ...]] = []
+        append = records.append
         value = 0
         shape = -1  # length of the last payload decode_record accepted here
         previous = b""  # that payload
@@ -129,16 +130,15 @@ class Client:
                         record = decode_shape(payload)
                 except EncodingError as exc:
                     return [], 0, f"undecodable record payload: {exc}"
-                if self._arity is not None and len(record) != self._arity:
+                if arity is not None and len(record) != arity:
                     return [], 0, (
-                        f"record payload has {len(record)} fields, "
-                        f"the relation has {self._arity}"
+                        f"record payload has {len(record)} fields, the relation has {arity}"
                     )
                 digest = int.from_bytes(hasher(payload).digest(), "big") if hashed else 0
                 opened = (record, digest)
                 if digest_cache is not None:
                     digest_cache[payload] = opened
-            records.append(opened[0])
+            append(opened[0])
             value ^= opened[1]
         return records, value, None
 
