@@ -201,7 +201,7 @@ def reference_open(client, payloads, digest_cache, hashed):
 #: big INTs (2**64 <= |v| < 2**72) included.
 FIELD_KINDS = {
     "int": lambda width: st.integers(-(2**63), 2**63 - 1),
-    "big-int": lambda width: st.integers(2**64, 2**72 - 1).map(lambda v: v if width % 2 else -v),
+    "big-int": lambda width: st.integers(2**64, 2**72 - 1) | st.integers(-(2**72) + 1, -(2**64)),
     "float": lambda width: st.floats(allow_nan=False),
     "str": lambda width: st.text("abcxyz019 -", min_size=width, max_size=width),
     "bytes": lambda width: st.binary(min_size=width, max_size=width),
