@@ -9,7 +9,8 @@ statistics are meaningful:
 * the MB-tree range search and VO construction (the TOM SP's work),
 * SAE client verification (decode, hash + XOR of the result records), over
   fixed-width payloads and payloads of all different lengths,
-* TOM client verification (root reconstruction + RSA signature check),
+* TOM client verification (hash the received payloads, root reconstruction,
+  RSA signature check, decode for the range check),
 * XB-tree maintenance (insert + delete of one tuple).
 """
 
@@ -115,7 +116,8 @@ def test_sae_client_verification(benchmark, query_result, widths):
 def test_tom_client_verification(benchmark, signed_mbtree, records, query_result):
     tree, verifier = signed_mbtree
     _, vo = tree.build_vo(QUERY_LOW, QUERY_HIGH, record_loader=lambda rid: records[rid])
-    report = benchmark(lambda: verify_vo(vo, query_result, QUERY_LOW, QUERY_HIGH,
+    payloads = [encode_record(fields) for fields in query_result]  # what the SP ships
+    report = benchmark(lambda: verify_vo(vo, payloads, QUERY_LOW, QUERY_HIGH,
                                          verifier=verifier, key_index=1))
     assert report.ok, report.reason
 

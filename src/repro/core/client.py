@@ -15,7 +15,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.epoch import classify_epoch
 from repro.crypto.digest import Digest, DigestScheme, default_scheme
-from repro.crypto.encoding import EncodingError, compile_layout, decode_record
+from repro.crypto.encoding import EncodingError, shape_decoder
 from repro.dbms.query import RangeQuery
 
 
@@ -29,11 +29,12 @@ class SAEVerificationResult:
     for a verified one.
 
     ``records`` are the tuples the client itself decoded from the payload
-    bytes it received (and, unless skipped, hashed); a verdict reached
-    before the token comparison carries none.  ``cpu_ms`` covers the hash,
-    the XOR fold *and* the decode the range check needs -- no re-encoding;
-    a result of same-shape records is decoded one unpack per record
-    through a compiled ``RecordLayout``.
+    bytes it received (and, unless skipped, hashed), and ``payloads`` those
+    bytes, one per record; a verdict reached before the token comparison
+    carries neither.  ``cpu_ms`` covers the hash, the XOR fold *and* the
+    decode the range check needs -- no re-encoding; a result of same-shape
+    records is decoded one unpack per record through a compiled
+    ``RecordLayout``.
     """
 
     ok: bool
@@ -45,6 +46,7 @@ class SAEVerificationResult:
     details: dict = field(default_factory=dict)
     skipped: bool = False
     records: List[Tuple[Any, ...]] = field(default_factory=list)
+    payloads: Sequence[bytes] = field(default_factory=list)
 
     @classmethod
     def skipped_result(cls, scheme: DigestScheme) -> "SAEVerificationResult":
@@ -100,34 +102,23 @@ class Client:
         record of the relation's arity comes back as a ``defect`` naming
         it (with no records), never as an exception.
 
-        A relation's records usually all encode to one length, so when two
-        consecutive payloads decoded here have the same length, the first
-        one's ``RecordLayout`` is compiled and reads every following payload
-        of that length in one unpack (it hands anything of another shape to
-        ``decode_record``).  The layout lives for this call only.
+        The decode runs through one ``shape_decoder`` per call: from the
+        second of two consecutive payloads of one length on, a payload is
+        read in one unpack through the first one's compiled
+        ``RecordLayout``.  The layout lives for this call only.
         """
         hasher, arity = self._scheme.hasher, self._arity
         records: List[Tuple[Any, ...]] = []
         append = records.append
         value = 0
-        shape = -1  # length of the last payload decode_record accepted here
-        previous = b""  # that payload
-        decode_shape = None  # decodes a payload of length ``shape``, once compiled
+        decode = shape_decoder()
         for payload in payloads:
             if type(payload) is not bytes:
                 return [], 0, f"result item of type {type(payload).__name__} is not a byte string"
             opened = digest_cache.get(payload) if digest_cache is not None else None
             if opened is None:
-                size = len(payload)
                 try:
-                    if size != shape:
-                        record = decode_record(payload)
-                        shape, previous, decode_shape = size, payload, None
-                    else:
-                        if decode_shape is None:
-                            layout = compile_layout(previous)
-                            decode_shape = decode_record if layout is None else layout.decode
-                        record = decode_shape(payload)
+                    record = decode(payload)
                 except EncodingError as exc:
                     return [], 0, f"undecodable record payload: {exc}"
                 if arity is not None and len(record) != arity:
@@ -210,7 +201,9 @@ class Client:
             records, _, defect = self._open(payloads, None, hashed=False)
             result = SAEVerificationResult.skipped_result(self._scheme)
             result.records = records
-            if defect is not None:
+            if defect is None:
+                result.payloads = payloads
+            else:
                 result.reason = f"verification skipped; {defect}"
             result.cpu_ms = (time.perf_counter() - started) * 1000.0
             return result
@@ -233,6 +226,7 @@ class Client:
             cpu_ms=(time.perf_counter() - started) * 1000.0,
             reason="verified" if ok else "result XOR does not match the verification token",
             records=records,
+            payloads=payloads,
         )
 
     def verify_shards(
@@ -261,6 +255,7 @@ class Client:
         merged_computed = self._scheme.zero()
         merged_token = self._scheme.zero()
         records: List[Tuple[Any, ...]] = []
+        received: List[bytes] = []
         records_hashed = 0
         rejected = []
         freshness = False
@@ -280,6 +275,7 @@ class Client:
             merged_computed = merged_computed ^ result.computed
             merged_token = merged_token ^ token
             records.extend(result.records)
+            received.extend(result.payloads)
             records_hashed += result.records_hashed
             if not result.ok:
                 rejected.append(shard_id)
@@ -304,4 +300,5 @@ class Client:
             reason=reason,
             details=details,
             records=records,
+            payloads=received,
         )

@@ -88,6 +88,11 @@ class QueryOutcome:
         """Number of records the SP returned."""
         return len(self.records)
 
+    @property
+    def payloads(self) -> Sequence[bytes]:
+        """The canonical bytes ``records`` were decoded from, one per record."""
+        return self.verification.payloads
+
     @classmethod
     def of(
         cls,

@@ -90,8 +90,8 @@ class DigestScheme:
         return Digest(b"\x00" * self.digest_size, scheme=self)
 
     def from_bytes(self, raw: bytes) -> "Digest":
-        """Wrap pre-computed digest bytes, validating their length."""
-        return Digest(bytes(raw), scheme=self)
+        """Wrap pre-computed digest bytes, validating their type and length."""
+        return Digest(raw, scheme=self)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.name}/{self.digest_size}B"
@@ -142,7 +142,15 @@ class Digest:
     __slots__ = ("_raw", "_scheme")
 
     def __init__(self, raw: bytes, scheme: DigestScheme = SHA1):
-        raw = bytes(raw)
+        if type(raw) is not bytes:
+            # bytes(20) would be twenty zero bytes and bytes([1] * 20) a
+            # made-up digest: only a byte string is a digest.
+            if not isinstance(raw, (bytes, bytearray, memoryview)):
+                raise DigestError(
+                    f"cannot make a digest from {type(raw).__name__} "
+                    "(expected bytes, bytearray or memoryview)"
+                )
+            raw = bytes(raw)
         if len(raw) != scheme.digest_size:
             raise DigestError(
                 f"digest length {len(raw)} does not match scheme {scheme.name} "

@@ -22,12 +22,14 @@ Every record of a relation usually has the same shape, so besides the
 general :func:`decode_record` this module compiles a :class:`RecordLayout`
 from one payload: a single ``struct`` unpack that reads any payload of the
 same shape and accepts exactly what :func:`decode_record` accepts.
+:func:`shape_decoder` is the one loop every reader of a result (the SAE
+and TOM clients, the wire codec) decodes through.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 _TAG_NONE = 0x00
 _TAG_INT = 0x01
@@ -267,6 +269,37 @@ def compile_layout(data: bytes) -> Optional[RecordLayout]:
     if not count:
         fmt.append(f"{lead}s")
     return RecordLayout(data, "".join(fmt), converters)
+
+
+def shape_decoder() -> Callable[[bytes], Tuple[Any, ...]]:
+    """A :func:`decode_record` for one run of payloads, such as one result.
+
+    A relation's records usually all encode to one length, so when two
+    consecutive payloads decoded here have the same length, the first one's
+    :class:`RecordLayout` is compiled and reads every following payload of
+    that length in one unpack (it hands anything of another shape to
+    :func:`decode_record`).  A result where every payload has a different
+    length pays one integer compare per payload over :func:`decode_record`.
+    The returned function accepts and refuses exactly what
+    :func:`decode_record` does; its layout lives as long as it does.
+    """
+    shape = -1  # length of the last payload decode_record accepted here
+    previous = b""  # that payload
+    decode_shape = None  # decodes a payload of length ``shape``, once compiled
+
+    def decode(payload: bytes) -> Tuple[Any, ...]:
+        nonlocal shape, previous, decode_shape
+        size = len(payload)
+        if size != shape:
+            record = decode_record(payload)
+            shape, previous, decode_shape = size, payload, None
+            return record
+        if decode_shape is None:
+            layout = compile_layout(previous)
+            decode_shape = decode_record if layout is None else layout.decode
+        return decode_shape(payload)
+
+    return decode
 
 
 class RecordCodec:

@@ -182,14 +182,21 @@ class Table:
 
     def get_many(self, record_ids: Sequence[Any], charge: bool = True) -> List[Tuple[Any, ...]]:
         """Fetch records by logical id, in order, through one :meth:`HeapFile.get_many`."""
+        decode = self._codec.decode
+        return [decode(payload) for payload in self.get_payloads(record_ids, charge)]
+
+    def get_payloads(self, record_ids: Sequence[Any], charge: bool = True) -> List[bytes]:
+        """The stored canonical bytes of records by logical id, in order, undecoded.
+
+        One :meth:`HeapFile.get_many` call, charged as :meth:`get_many` is.
+        """
         rids = []
         for record_id in record_ids:
             rid = self._rid_by_id.get(record_id)
             if rid is None:
                 raise TableError(f"no record with id {record_id!r}")
             rids.append(rid)
-        decode = self._codec.decode
-        return [decode(payload) for payload in self._heap.get_many(rids, charge=charge)]
+        return self._heap.get_many(rids, charge=charge)
 
     def get_by_rid(self, rid: RecordId, charge: bool = True) -> Tuple[Any, ...]:
         """Fetch a record by its physical record id."""

@@ -506,19 +506,6 @@ def profile_gate_metrics(report: ProfileReport) -> List[GateMetric]:
                        value=round(span.total_ms, 3), unit="ms",
                        higher_is_better=False)
         )
-    if report.memo_hits or report.memo_misses:  # only a scheme with a query-path memo
-        metrics.extend(
-            [
-                GateMetric(name=f"{prefix}.memo.replay_hits",
-                           value=report.memo_hits, unit="hits", gate=True),
-                GateMetric(name=f"{prefix}.memo.replay_misses",
-                           value=report.memo_misses, unit="misses", gate=True,
-                           higher_is_better=False),
-                GateMetric(name=f"{prefix}.memo.replay_hit_rate",
-                           value=round(report.memo_hit_rate, 4), unit="ratio",
-                           gate=True),
-            ]
-        )
     metrics.extend(
         [
             GateMetric(name=f"{prefix}.memo.warm_speedup_capped",

@@ -5,9 +5,8 @@ answers the question the cost model cannot: where does the *wall-clock*
 time of a verified query actually go?  :func:`run_profile` deploys one
 scheme over a fixed, seeded workload and measures
 
-* cold and warm verified-query passes (the warm pass runs with every
-  record memo populated), with a :mod:`cProfile` capture of the cold pass
-  whose top functions are reported as ``hotspots``,
+* cold and warm verified-query passes, with a :mod:`cProfile` capture of
+  the cold pass whose top functions are reported as ``hotspots``,
 * per-stage spans timed with :func:`time.perf_counter` around the real
   pipeline entry points -- record encoding, record digesting, the SP tree
   walk, VT/VO construction, client verification and wire-codec round
@@ -93,9 +92,7 @@ class ProfileReport:
     # Per-stage spans and the cProfile top functions of the cold pass.
     stages: List[StageSpan] = field(default_factory=list)
     hotspots: List[Dict[str, Any]] = field(default_factory=list)
-    # Record-memo behaviour: deterministic replay counters + micro-bench.
-    memo_hits: int = 0
-    memo_misses: int = 0
+    # Record-digest memo micro-bench.
     memo_cold_ms: float = 0.0
     memo_warm_ms: float = 0.0
     # Root-signature cache (TOM only; zeros under SAE).
@@ -113,11 +110,6 @@ class ProfileReport:
     pickle_decode_ms: float = 0.0
 
     # ------------------------------------------------------------ derived
-    @property
-    def memo_hit_rate(self) -> float:
-        total = self.memo_hits + self.memo_misses
-        return self.memo_hits / total if total else 0.0
-
     @property
     def memo_speedup(self) -> float:
         return self.memo_cold_ms / self.memo_warm_ms if self.memo_warm_ms else 0.0
@@ -219,23 +211,22 @@ def _stage_spans(system: OutsourcedDB, queries: Sequence[RangeQuery]) -> List[St
     digest_scheme = default_scheme()
     spans: List[StageSpan] = []
 
+    # Both SPs ship stored bytes and the client decodes them; the encode
+    # stage below stays a microbench over the decoded results.
     if system.scheme_name == "sae":
-        # The SAE SP ships stored bytes and the client decodes them; the
-        # encode stage below stays a microbench over the decoded results.
         walk_span, payload_sets = _span("tree_walk", queries, provider.execute)
         spans.append(walk_span)
         trusted = scheme_obj.trusted_entity
         build_span, tokens = _span("vt_vo_build", queries, trusted.generate_vt)
         spans.append(build_span)
-        record_sets = [[decode_record(p) for p in payloads] for payloads in payload_sets]
         auth = list(zip(payload_sets, tokens))
     else:
         walk_span, _matches = _span("tree_walk", queries, provider.query_only)
         spans.append(walk_span)
-        build_span, served = _span("vt_vo_build", queries, provider.execute)
+        build_span, auth = _span("vt_vo_build", queries, provider.execute)
         spans.append(build_span)
-        record_sets = [records for records, _vo in served]
-        auth = served
+        payload_sets = [payloads for payloads, _vo in auth]
+    record_sets = [[decode_record(p) for p in payloads] for payloads in payload_sets]
 
     flat_records = [record for records in record_sets for record in records]
     encode_span, payloads = _span("encode", flat_records, encode_record)
@@ -283,8 +274,8 @@ def _verify_microbench(
 ) -> Tuple[float, float]:
     """Cached vs uncached root-signature verification (TOM only)."""
     scheme_obj = system.system
-    records, vo = scheme_obj.provider.execute(query)
-    report = scheme_obj.client.verify(records, vo, query)
+    payloads, vo = scheme_obj.provider.execute(query)
+    report = scheme_obj.client.verify(payloads, vo, query)
     if not report.ok or report.recomputed_root is None:
         raise ProfileError("verify micro-bench could not reconstruct a signed root")
     root, signature = report.recomputed_root, vo.signature
@@ -363,9 +354,8 @@ def run_profile(
     """Profile one scheme's verified query path over a fixed workload.
 
     The sequential passes (cold, warm, stage spans) run before the
-    multi-threaded load driver so every gated counter -- memo replay
-    hits/misses and the root-verifier hit rate -- is taken from a
-    deterministic, single-threaded replay.
+    multi-threaded load driver so every gated counter -- the root-verifier
+    hit rate -- is taken from a deterministic, single-threaded replay.
     """
     dataset = build_dataset(cardinality, record_size=record_size, seed=seed)
     workload = RangeQueryWorkload(
@@ -382,8 +372,7 @@ def run_profile(
 
     system = OutsourcedDB(dataset, scheme=scheme, key_bits=key_bits, seed=seed).setup()
     with system:
-        # Cold verified pass under cProfile, then a warm pass: the delta is
-        # what the memoization layer saves end to end.
+        # Cold verified pass under cProfile, then a warm pass.
         profiler = cProfile.Profile()
         outcomes = []
         started = time.perf_counter()
@@ -399,11 +388,7 @@ def run_profile(
             raise ProfileError(f"{scheme}: a profiling query failed verification")
         report.hotspots = _hotspots(profiler, top)
 
-        # Deterministic replay counters, snapshotted before any threads run
-        # (SAE has no query-path memo: its SP ships stored bytes).
-        memo = getattr(system.system, "record_memo", None)
-        if memo is not None:
-            report.memo_hits, report.memo_misses = memo.stats.hits, memo.stats.misses
+        # Deterministic replay counters, snapshotted before any threads run.
         if scheme == "tom":
             verifier = system.system.root_verifier
             report.verify_cache_hits = verifier.hits
@@ -447,11 +432,6 @@ def format_profile(report: ProfileReport) -> str:
     ]
     lines.append(format_table(["stage", "calls", "total ms", "per call ms"], rows,
                               title="per-stage spans"))
-    if report.memo_hits or report.memo_misses:
-        lines.append(
-            f"  memo: {report.memo_hits} hits / {report.memo_misses} misses on replay "
-            f"({report.memo_hit_rate:.1%})"
-        )
     lines.append(f"  memo micro-bench: warm speedup {report.memo_speedup:.1f}x")
     if report.verify_cache_hits or report.verify_cache_misses:
         lines.append(

@@ -1215,12 +1215,18 @@ class FleetRouter:
         records = tuple(
             itertools.chain.from_iterable(outcome.records for _, outcome, _, _ in legs)
         )
+        payloads = tuple(
+            itertools.chain.from_iterable(outcome.payloads for _, outcome, _, _ in legs)
+        )
         if self._target_router is not None and records:
             # Mid-migration the union scatter returns keys out of shard
             # order (a moved key answers from its new owner); re-sort so the
-            # merged result keeps the range order callers rely on.
+            # merged result keeps the range order callers rely on, each
+            # record beside the bytes it was decoded from.
             key_index = self._manifest.schema.key_index
-            records = tuple(sorted(records, key=lambda record: record[key_index]))
+            pairs = sorted(zip(records, payloads), key=lambda pair: pair[0][key_index])
+            records = tuple(record for record, _ in pairs)
+            payloads = tuple(payload for _, payload in pairs)
         verified = all(outcome.verified for _, outcome, _, _ in legs)
         freshness = any(outcome.freshness_violation for _, outcome, _, _ in legs)
         reason = ""
@@ -1286,6 +1292,7 @@ class FleetRouter:
         )
         return RemoteQueryOutcome(
             records=records,
+            payloads=payloads,
             verified=verified,
             reason=reason,
             scheme=self._manifest.scheme,

@@ -50,8 +50,8 @@ class ResultResponse(Message):
     ``payload_size_hint`` lets a sender that already holds the records'
     encodings supply the payload size instead of re-encoding every record
     here; the value must equal what ``sum(len(encode_record(r)))`` would
-    produce.  The SAE SP ships the stored canonical bytes themselves as
-    ``records`` and always hints ``sum(len(payload))``.
+    produce.  Both schemes' SPs ship the stored canonical bytes themselves
+    as ``records`` and always hint ``sum(len(payload))``.
     """
 
     records: List[Union[Tuple[Any, ...], bytes]]
@@ -80,11 +80,19 @@ class VTResponse(Message):
 
 @dataclass
 class VOResponse(Message):
-    """The TOM SP's verification object accompanying a result."""
+    """The TOM SP's verification object accompanying a result.
+
+    ``payload_size_hint``, when given, must equal ``vo.size_bytes()``: a
+    sender that sized the VO once hands that number to every reader instead
+    of walking the VO (and re-encoding its boundary records) again.
+    """
 
     vo: "VerificationObject"
+    payload_size_hint: Optional[int] = None
 
     def payload_bytes(self) -> int:
+        if self.payload_size_hint is not None:
+            return self.payload_size_hint
         return self.vo.size_bytes()
 
 

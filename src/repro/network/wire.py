@@ -34,6 +34,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.pipeline import CostReceipt, QueryReceipt, ShardLegReceipt
 from repro.core.updates import DeleteRecord, InsertRecord, ModifyRecord, UpdateBatch
+from repro.crypto.encoding import EncodingError, encode_record, shape_decoder
 from repro.dbms.query import RangeQuery
 
 
@@ -167,8 +168,9 @@ FRAME_HEADER = struct.Struct(">2sBBI")
 #: Magic bytes opening every frame (cheap stream-desync detection).
 FRAME_MAGIC = b"\xa5\xae"
 
-#: Wire protocol version; bumped on incompatible codec changes.
-WIRE_VERSION = 1
+#: Wire protocol version; bumped on incompatible codec changes.  Version 2
+#: ships an outcome's records as one record block (see :func:`records_to_wire`).
+WIRE_VERSION = 2
 
 #: Refuse frames above this payload size (a corrupt length prefix must not
 #: make the reader try to allocate gigabytes).
@@ -355,6 +357,55 @@ def receipt_from_wire(payload: Dict[str, Any]) -> QueryReceipt:
 
 
 # ---------------------------------------------------------------------- outcomes
+def records_to_wire(payloads: Sequence[bytes]) -> bytes:
+    """The record block: for each record, a u32 length, then its canonical bytes.
+
+    The payloads are the bytes the SP's heap file stores and the client
+    opened; they are framed as they are, never re-encoded.
+    """
+    pack = _U32.pack
+    return b"".join([part for payload in payloads for part in (pack(len(payload)), payload)])
+
+
+def records_from_wire(block: Any) -> Tuple[Tuple[Tuple[Any, ...], ...], Tuple[bytes, ...]]:
+    """Split a record block and decode it: ``(records, payloads)``.
+
+    Every length word is checked against the bytes that remain before
+    anything is sliced, and the records decode through one
+    ``shape_decoder``.  A truncated length word, a length past the block's
+    end and an undecodable record (trailing bytes included) raise
+    :class:`WireError`.
+    """
+    if type(block) is not bytes:
+        raise WireError(f"record block is {type(block).__name__}, not bytes")
+    size = len(block)
+    offset = 0
+    records: List[Tuple[Any, ...]] = []
+    payloads: List[bytes] = []
+    decode = shape_decoder()
+    unpack_length = _U32.unpack_from
+    while offset < size:
+        if size - offset < _U32.size:
+            raise WireError(
+                f"truncated record length word: {size - offset} bytes left in the record block"
+            )
+        (length,) = unpack_length(block, offset)
+        offset += _U32.size
+        if length > size - offset:
+            raise WireError(
+                f"record of {length} bytes runs past the record block "
+                f"({size - offset} bytes remain)"
+            )
+        payload = block[offset:offset + length]
+        offset += length
+        try:
+            records.append(decode(payload))
+        except EncodingError as exc:
+            raise WireError(f"undecodable record in the record block: {exc}") from None
+        payloads.append(payload)
+    return tuple(records), tuple(payloads)
+
+
 @dataclass(frozen=True)
 class RemoteQueryOutcome:
     """The client-side view of one query served over the network.
@@ -363,7 +414,8 @@ class RemoteQueryOutcome:
     :class:`TomQueryOutcome`): the load driver, the scaling model and the
     benchmark gate read ``verified``, ``records``, ``cardinality``,
     ``receipt`` and the per-party access counts without caring whether the
-    query ran in-process or over a socket.
+    query ran in-process or over a socket.  ``payloads`` are the canonical
+    record bytes received, one per record: ``records`` are decoded from them.
     """
 
     records: Tuple[Tuple[Any, ...], ...]
@@ -384,6 +436,7 @@ class RemoteQueryOutcome:
     #: The server observed its epoch *change* while executing this query (a
     #: concurrent update/migration barrier landed mid-read).
     epoch_torn: bool = False
+    payloads: Tuple[bytes, ...] = ()
 
     @property
     def cardinality(self) -> int:
@@ -444,11 +497,19 @@ def outcome_to_wire(
     mid-execution (the two are mutually exclusive -- a torn outcome carries
     no definite epoch).  Both are omitted when unset, so pre-migration
     frames keep their historical size.
+
+    ``"records"`` is the record block of the payloads the outcome's client
+    opened (:func:`records_to_wire`), framed without re-encoding.  Only a
+    records-only view, which carries no received bytes, is encoded here.
     """
     receipt = outcome.receipt
-    verification = outcome.verification
+    # A RemoteQueryOutcome (say, a router's merge) carries its verdict itself.
+    verification = getattr(outcome, "verification", outcome)
+    payloads = getattr(outcome, "payloads", None)
+    if payloads is None:
+        payloads = [encode_record(record) for record in outcome.records]
     payload = {
-        "records": [list(record) for record in outcome.records],
+        "records": records_to_wire(payloads),
         "verified": bool(outcome.verified),
         "reason": str(getattr(verification, "reason", "")),
         "scheme": scheme,
@@ -456,7 +517,7 @@ def outcome_to_wire(
     }
     # Omitted unless set, so honest-path frames keep their historical size.
     details = getattr(verification, "details", None) or {}
-    if details.get("freshness_violation"):
+    if details.get("freshness_violation") or getattr(outcome, "freshness_violation", False):
         payload["freshness"] = True
     if torn:
         payload["torn"] = True
@@ -468,8 +529,10 @@ def outcome_to_wire(
 def outcome_from_wire(payload: Dict[str, Any]) -> RemoteQueryOutcome:
     """Rebuild the client-side view of a served outcome."""
     receipt_payload = payload["receipt"]
+    records, payloads = records_from_wire(payload["records"])
     return RemoteQueryOutcome(
-        records=tuple(tuple(record) for record in payload["records"]),
+        records=records,
+        payloads=payloads,
         verified=bool(payload["verified"]),
         reason=str(payload["reason"]),
         scheme=str(payload.get("scheme", "")),

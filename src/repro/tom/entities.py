@@ -25,7 +25,8 @@ from repro.core.pipeline import CostReceipt, ExecutionContext
 from repro.core.sharding import AttackableFleet, SingleShard, partition_dataset
 from repro.core.tuples import digest_record
 from repro.core.updates import DeleteRecord, InsertRecord, ModifyRecord, UpdateBatch
-from repro.crypto.digest import DigestScheme, MemoStats, RecordMemo, default_scheme
+from repro.crypto.digest import DigestScheme, RecordMemo, default_scheme
+from repro.crypto.encoding import decode_record, encode_record
 from repro.crypto.signatures import RSASigner, RSAVerifier, Signature, make_rsa_pair
 from repro.dbms.query import RangeQuery
 from repro.dbms.table import Table
@@ -323,65 +324,60 @@ class TomServiceProvider(SingleShard):
     # ------------------------------------------------------------------ queries
     def execute(
         self, query: RangeQuery, ctx: Optional[ExecutionContext] = None
-    ) -> Tuple[List[Tuple[Any, ...]], VerificationObject]:
-        """Answer a range query with the result and its verification object.
+    ) -> Tuple[List[bytes], VerificationObject]:
+        """Answer a range query with the result payloads and their VO.
+
+        The payloads are the canonical record bytes the heap file stores,
+        handed on as :meth:`HeapFile.get_many` returns them, never decoded
+        here.  An attack acts on tuples, so a misbehaving SP decodes,
+        corrupts and re-encodes what it sends.
 
         The per-query cost is returned as a :class:`CostReceipt` on
         ``ctx.sp``, mirroring the SAE provider's re-entrant accounting.
         """
         if self._table is None or self._ads is None:
             raise TomError("the service provider has not received a dataset yet")
-        with self._counter.scoped() as tally, self._store.scoped_stats() as pool, \
-                self._memo.scoped_stats() as memo:
+        with self._counter.scoped() as tally, self._store.scoped_stats() as pool:
             started = time.perf_counter()
             matches, vo = self._ads.build_vo(
                 query.low,
                 query.high,
                 record_loader=lambda record_id: self._table.get(record_id, charge=True),
             )
-            records = self._table.get_many([record_id for _, record_id in matches])
+            payloads = self._table.get_payloads([record_id for _, record_id in matches])
             cpu_ms = (time.perf_counter() - started) * 1000.0
-        receipt = self._make_receipt(tally.node_accesses, cpu_ms, pool, memo)
+        receipt = CostReceipt(
+            node_accesses=tally.node_accesses,
+            cpu_ms=cpu_ms,
+            io_cost_ms=self._cost_model.io_cost_ms(tally.node_accesses),
+            pool_hits=pool.hits,
+            pool_misses=pool.misses,
+            pool_evictions=pool.evictions,
+        )
         if ctx is not None:
             ctx.sp = receipt
-        return self._attack.apply(records, query), vo
+        if self.is_honest:
+            return payloads, vo
+        corrupted = self._attack.apply([decode_record(p) for p in payloads], query)
+        return [encode_record(record) for record in corrupted], vo
 
-    def query_only(self, query: RangeQuery) -> List[Tuple[Any, ...]]:
+    def query_only(self, query: RangeQuery) -> List[bytes]:
         """Answer a range query through the ADS without building a VO.
 
         Used by the processing-cost experiment (Figure 6), which compares the
-        SP's pure query cost under TOM (MB-tree) and SAE (B+-tree).
+        SP's pure query cost under TOM (MB-tree) and SAE (B+-tree); both
+        return the stored payloads.
         """
         if self._table is None or self._ads is None:
             raise TomError("the service provider has not received a dataset yet")
         matches = self._ads.range_search(query.low, query.high)
-        return self._table.get_many([record_id for _, record_id in matches])
+        return self._table.get_payloads([record_id for _, record_id in matches])
 
     def index_only_accesses(self, query: RangeQuery) -> int:
         """Node accesses of the MB-tree traversal and leaf scan alone."""
         with self._counter.scoped() as tally:
             self.ads.range_search(query.low, query.high)
         return tally.node_accesses
-
-    def _make_receipt(
-        self,
-        node_accesses: int,
-        cpu_ms: float,
-        pool: Optional[PoolStats] = None,
-        memo: Optional[MemoStats] = None,
-    ) -> CostReceipt:
-        pool = pool or PoolStats()
-        memo = memo or MemoStats()
-        return CostReceipt(
-            node_accesses=node_accesses,
-            cpu_ms=cpu_ms,
-            io_cost_ms=self._cost_model.io_cost_ms(node_accesses),
-            pool_hits=pool.hits,
-            pool_misses=pool.misses,
-            pool_evictions=pool.evictions,
-            memo_hits=memo.hits,
-            memo_misses=memo.misses,
-        )
 
     # ------------------------------------------------------------------ persistence
     def flush_storage(self) -> None:
@@ -437,15 +433,6 @@ class TomServiceProvider(SingleShard):
         """Lifetime buffer-pool stats of the SP's node store."""
         return self._store.stats
 
-    @property
-    def record_memo(self) -> RecordMemo:
-        """The SP's memo over record encodings and digests (ADS maintenance)."""
-        return self._memo
-
-    def memo_stats(self) -> MemoStats:
-        """Lifetime record-memo stats of the SP (setup + update digesting)."""
-        return self._memo.stats
-
     def storage_bytes(self) -> int:
         """Storage at the SP: dataset heap file + B+-tree + the MB-tree ADS."""
         if self._table is None or self._ads is None:
@@ -458,30 +445,30 @@ class TomServiceProvider(SingleShard):
 class TomClient:
     """The TOM client: reconstructs the root digest from the VO.
 
+    All it takes from the SP are the result payloads (canonical record
+    bytes), the VO and the signed epoch stamp: it hashes the bytes it
+    received and decodes them once, for the key-range check.
     ``verifier`` may be any :class:`~repro.crypto.signatures.Verifier`,
     including a :class:`~repro.crypto.signatures.CachedVerifier` that skips
     the RSA exponentiation for root/signature pairs that already verified
-    this epoch.  ``memo`` optionally serves repeat record digests during VO
-    reconstruction from a cross-query cache.
+    this epoch.
     """
 
-    def __init__(self, verifier, key_index: int,
-                 scheme: Optional[DigestScheme] = None, memo: Optional[RecordMemo] = None):
+    def __init__(self, verifier, key_index: int, scheme: Optional[DigestScheme] = None):
         self._verifier = verifier
         self._key_index = key_index
         self._scheme = scheme or default_scheme()
-        self._memo = memo
 
     def verify(
         self,
-        records: List[Tuple[Any, ...]],
+        payloads: Sequence[bytes],
         vo: VerificationObject,
         query: RangeQuery,
         epoch_stamp: Optional[EpochStamp] = None,
         expected_epoch: Optional[int] = None,
         epoch_verifier=None,
     ) -> VerificationReport:
-        """Verify the result set against its VO and the owner's signature.
+        """Verify the result payloads against their VO and the owner's signature.
 
         When ``expected_epoch`` and ``epoch_verifier`` are given, the SP's
         signed update-epoch stamp is checked *before* the VO: a stale replica
@@ -499,13 +486,12 @@ class TomClient:
                 return report
         report = verify_vo(
             vo,
-            records,
+            payloads,
             query.low,
             query.high,
             verifier=self._verifier,
             key_index=self._key_index,
             scheme=self._scheme,
-            memo=self._memo,
         )
         report.details["cpu_ms"] = (time.perf_counter() - started) * 1000.0
         return report

@@ -10,8 +10,10 @@ are atomic with respect to in-flight queries (including the per-shard root
 re-signing), batched dispatch, sharding, replicas and snapshots.  What is
 TOM's own is the proof:
 
-* the SP answers with the result records plus a verification object built
-  from its MB-tree, sized through a cross-query record memo;
+* the SP answers with the result records' canonical bytes, as its heap file
+  stores them, plus a verification object built from its MB-tree; the
+  result is charged ``sum(len(payload))`` and the client hashes the bytes
+  it received and decodes them once, for the key-range check;
 * in a sharded design every shard keeps its own MB-tree whose root the DO
   signs individually, and every leg's (result, VO) pair is verified against
   its shard signature -- pinpointing a tampering shard while the honest
@@ -32,9 +34,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.core.attacks import AttackModel
 from repro.core.dataset import Dataset
 from repro.core.design import PhysicalDesign
-from repro.core.pipeline import CostReceipt, ExecutionContext, QueryReceipt, ZERO_RECEIPT
+from repro.core.pipeline import ExecutionContext, QueryReceipt
 from repro.core.scheme import AuthScheme, register_scheme
-from repro.crypto.digest import DigestScheme, RecordMemo
+from repro.crypto.digest import DigestScheme
 from repro.crypto.signatures import CachedVerifier
 from repro.dbms.query import RangeQuery
 from repro.network.messages import ResultResponse, VOResponse
@@ -44,7 +46,7 @@ from repro.tom.entities import (
     TomDataOwner,
     TomServiceProvider,
 )
-from repro.tom.verification import VerificationReport
+from repro.tom.verification import VerificationReport, open_payloads
 from repro.tom.vo import VerificationObject
 
 
@@ -67,7 +69,8 @@ class TomQueryOutcome:
     ``receipt`` carries the same per-request accounting as an SAE outcome
     (the TE axis is zero -- TOM has no trusted entity), which is what lets
     the load driver, the scaling sweep and the benchmark gate consume both
-    schemes generically.
+    schemes generically.  ``records`` are the tuples the client decoded from
+    the payloads it received, and ``payloads`` those bytes, one per record.
     """
 
     query: RangeQuery
@@ -81,6 +84,7 @@ class TomQueryOutcome:
     vo: Optional[VerificationObject]
     details: dict = field(default_factory=dict)
     receipt: Optional[QueryReceipt] = None
+    payloads: Sequence[bytes] = field(default_factory=list)
 
     @property
     def verification(self) -> VerificationReport:
@@ -111,16 +115,15 @@ class TomQueryOutcome:
     def of(
         cls,
         receipt: QueryReceipt,
-        records: List[Tuple[Any, ...]],
         report: VerificationReport,
         vo: Optional[VerificationObject],
         details: Optional[dict] = None,
     ) -> "TomQueryOutcome":
-        """The outcome of a receipt and a verdict; the flat cost fields
-        mirror the receipt."""
+        """The outcome of a receipt and a verdict: the records are the ones
+        the client decoded, the flat cost fields mirror the receipt."""
         return cls(
             query=receipt.query,
-            records=records,
+            records=report.records,
             report=report,
             sp_accesses=receipt.sp.node_accesses,
             sp_cost_ms=receipt.sp.io_cost_ms,
@@ -130,6 +133,7 @@ class TomQueryOutcome:
             vo=vo,
             details=details or {},
             receipt=receipt,
+            payloads=report.payloads,
         )
 
 
@@ -138,9 +142,9 @@ class TomScheme(AuthScheme):
     """A complete TOM deployment (DO + SP fleet + client).
 
     The :class:`~repro.core.scheme.AuthScheme` template runs the lifecycle;
-    this class supplies TOM's proof: the SP answers with the records plus a
-    VO from its MB-tree, and the client checks the VO against the owner's
-    root signature.
+    this class supplies TOM's proof: the SP answers with the records' stored
+    bytes plus a VO from its MB-tree, and the client checks the VO against
+    the owner's root signature.
     """
 
     scheme_name = "tom"
@@ -197,11 +201,6 @@ class TomScheme(AuthScheme):
                 start_epoch=start_epoch,
             )
         )
-        # Cross-query memo over record encodings and digests, shared between
-        # the SP legs (payload sizing) and the client's VO reconstruction.
-        self._record_memo = RecordMemo(
-            self._scheme, capacity=self._design.memo_capacity
-        )
         # Between two update batches every query re-verifies the *same* root
         # signature(s); the cached verifier skips the repeated RSA modular
         # exponentiation and is invalidated on every batch.
@@ -212,16 +211,10 @@ class TomScheme(AuthScheme):
             verifier=self._root_verifier,
             key_index=dataset.schema.key_index,
             scheme=self._scheme,
-            memo=self._record_memo,
         )
 
     def _parties(self) -> Dict[str, Any]:
         return {"sp": self.provider}
-
-    @property
-    def record_memo(self) -> RecordMemo:
-        """The deployment's cross-query record encoding/digest memo."""
-        return self._record_memo
 
     @property
     def root_verifier(self) -> CachedVerifier:
@@ -289,42 +282,26 @@ class TomScheme(AuthScheme):
         return provider.execute(query, ctx)
 
     def _answer(
-        self, party: str, served: Tuple[List[Tuple[Any, ...]], VerificationObject],
+        self, party: str, served: Tuple[List[bytes], VerificationObject],
         ctx: ExecutionContext,
-    ) -> Tuple[List[Tuple[Any, ...]], VerificationObject, ResultResponse, VOResponse]:
-        """The result records, then their VO."""
-        records, vo = served
+    ) -> Tuple[List[bytes], VerificationObject, ResultResponse, VOResponse]:
+        """The result payloads as stored, then their VO, each sized once."""
+        payloads, vo = served
         result_message = ResultResponse(
-            records=records, payload_size_hint=self._size_result(records, ctx)
+            records=payloads, payload_size_hint=sum(map(len, payloads))
         )
-        vo_message = VOResponse(vo=vo)
+        vo_message = VOResponse(vo=vo, payload_size_hint=vo.size_bytes())
         channel = self._network.channel(party, "client")
         channel.send(result_message, session=ctx)
         channel.send(vo_message, session=ctx)
-        return records, vo, result_message, vo_message
-
-    def _size_result(
-        self, records: List[Tuple[Any, ...]], ctx: ExecutionContext
-    ) -> int:
-        """Size the result payload through the memo, charging it to ``ctx.sp``.
-
-        Equals ``sum(len(encode_record(r)))`` byte-for-byte; memo hit/miss
-        tallies land on the SP receipt next to the pool counters.
-        """
-        with self._record_memo.scoped_stats() as memo:
-            hint = sum(len(self._record_memo.encoded(record)) for record in records)
-        if memo.hits or memo.misses:
-            ctx.sp = (ctx.sp or ZERO_RECEIPT) + CostReceipt(
-                memo_hits=memo.hits, memo_misses=memo.misses
-            )
-        return hint
+        return payloads, vo, result_message, vo_message
 
     # ------------------------------------------------------------------ outcomes
     def _verify(
-        self, records, vo, query: RangeQuery, epoch_stamp, expected_epoch: int
+        self, payloads, vo, query: RangeQuery, epoch_stamp, expected_epoch: int
     ) -> VerificationReport:
         return self.client.verify(
-            records,
+            payloads,
             vo,
             query,
             epoch_stamp=epoch_stamp,
@@ -345,13 +322,11 @@ class TomScheme(AuthScheme):
         -- so the merged report pinpoints exactly which shard(s) tampered or
         served stale state (``report.details["shards"]``).
         """
-        records: List[Tuple[Any, ...]] = []
         vos: List[VerificationObject] = []
         legs = []
-        for shard_id, leg_ctx, (leg_records, vo, result_message, vo_message) in zip(
+        for shard_id, leg_ctx, (_, vo, result_message, vo_message) in zip(
             shard_ids, leg_contexts, answers
         ):
-            records.extend(leg_records)
             vos.append(vo)
             legs.append(self._leg_receipt(
                 shard_id, leg_ctx, vo_message.payload_bytes(), result_message.payload_bytes()
@@ -359,20 +334,26 @@ class TomScheme(AuthScheme):
 
         if not verify:
             report = skipped_report()
+            payloads = [p for leg_payloads, _, _, _ in answers for p in leg_payloads]
+            records, defect = open_payloads(payloads)
+            if defect is None:
+                report.records, report.payloads = records, payloads
+            else:
+                report.reason = f"verification skipped; {defect}"
         elif not self._uses_fleet:
             report = self._verify(
-                records, vos[0], query, leg_contexts[0].epoch_stamp, expected_epoch
+                answers[0][0], vos[0], query, leg_contexts[0].epoch_stamp, expected_epoch
             )
         else:
             leg_reports: Dict[int, VerificationReport] = {}
             client_cpu_ms = 0.0
             rejected: List[int] = []
             freshness = False
-            for shard_id, leg_ctx, (leg_records, vo, _, _) in zip(
+            for shard_id, leg_ctx, (leg_payloads, vo, _, _) in zip(
                 shard_ids, leg_contexts, answers
             ):
                 leg_report = self._verify(
-                    leg_records, vo, query, leg_ctx.epoch_stamp, expected_epoch
+                    leg_payloads, vo, query, leg_ctx.epoch_stamp, expected_epoch
                 )
                 leg_reports[shard_id] = leg_report
                 client_cpu_ms += leg_report.details.get("cpu_ms", 0.0)
@@ -398,15 +379,17 @@ class TomScheme(AuthScheme):
                 digests_supplied=sum(r.digests_supplied for r in leg_reports.values()),
                 boundaries=sum(r.boundaries for r in leg_reports.values()),
                 details=details,
+                records=[r for leg in leg_reports.values() for r in leg.records],
+                payloads=[p for leg in leg_reports.values() for p in leg.payloads],
             )
 
         receipt = self._merged_receipt(
             query, legs, leg_contexts, report.details.get("cpu_ms", 0.0)
         )
         if not self._uses_fleet:
-            return TomQueryOutcome.of(receipt, records, report, vos[0])
+            return TomQueryOutcome.of(receipt, report, vos[0])
         return TomQueryOutcome.of(
-            receipt, records, report, None, {"shards": list(shard_ids), "vos": vos}
+            receipt, report, None, {"shards": list(shard_ids), "vos": vos}
         )
 
     def _empty_outcome(self, low: Any, high: Any, verify: bool) -> TomQueryOutcome:
@@ -415,4 +398,4 @@ class TomScheme(AuthScheme):
             report = VerificationReport(ok=True, reason="empty range (low > high)")
         else:
             report = skipped_report()
-        return TomQueryOutcome.of(self._empty_receipt(low, high), [], report, None)
+        return TomQueryOutcome.of(self._empty_receipt(low, high), report, None)

@@ -1,7 +1,7 @@
 """A record is encoded once, by the owner -- the invariant and its counts.
 
-The SAE SP ships the heap file's stored bytes and the client hashes and
-decodes exactly those bytes.  That only verifies if the stored payload, the
+The SAE and TOM SPs ship the heap file's stored bytes, the client hashes and
+decodes exactly those bytes, and the wire frames them as they are.  That only verifies if the stored payload, the
 canonical encoding and what the TE digested are the same byte string for
 every record, after every kind of update, on both storage tiers; this module
 pins that, the encode/decode call counts the design promises, and that the
@@ -17,6 +17,8 @@ from repro.core import OutsourcedDB, UpdateBatch
 from repro.core.design import PhysicalDesign
 from repro.core.tuples import digest_record
 from repro.crypto.encoding import RecordLayout, decode_record, encode_record
+from repro.network import wire
+from repro.network.fleet import FleetManifest, FleetRouter
 from repro.workloads import build_dataset
 
 PARITY_FIXTURE = os.path.join(
@@ -26,12 +28,14 @@ PARITY_FIXTURE = os.path.join(
 BOUNDS = [(0, 400_000), (150_000, 900_000), (5_000_000, 5_600_000), (9_990_000, 10_000_000)]
 
 
-def deploy(tmp_path, storage, max_workers=None, **design):
+def deploy(tmp_path, storage, max_workers=None, scheme="sae", **design):
     dataset = build_dataset(3_000, record_size=96, seed=11)
     kwargs = {"design": PhysicalDesign(pool_pages=4, **design), "max_workers": max_workers}
     if storage == "paged":
         kwargs.update(storage="paged", data_dir=str(tmp_path))
-    return OutsourcedDB(dataset, scheme="sae", **kwargs).setup()
+    if scheme == "tom":
+        kwargs.update(key_bits=512)
+    return OutsourcedDB(dataset, scheme=scheme, **kwargs).setup()
 
 
 # ---------------------------------------------------------------------- (i) the invariant
@@ -124,6 +128,30 @@ def test_honest_query_encodes_nothing_and_decodes_each_record_once(
         }
 
 
+@pytest.mark.parametrize("design", [{}, {"shards": 3}], ids=["unsharded", "3-shard"])
+def test_honest_tom_query_encodes_no_result_record_and_decodes_each_once(
+    tmp_path, codec_calls, design
+):
+    with deploy(tmp_path, "memory", scheme="tom", **design) as db:
+        codec_calls.update(encode=0, decode=0, layout=0)
+        outcome = db.query(2_000_000, 8_000_000)
+        assert outcome.verified and outcome.cardinality > 100
+        vos = outcome.details.get("vos") or [outcome.vo]
+        legs = len(vos)
+        assert legs == (3 if design else 1)
+        boundaries = sum(vo.count_boundaries() for vo in vos)
+        # No result record is encoded: the SP ships stored bytes, the
+        # result is sized by their lengths and the client hashes them.  The
+        # only encodes are each VO boundary record's, sized once and hashed
+        # once by the client; the only decodes besides the client's one per
+        # result record are the SP's loads of those boundaries.
+        assert codec_calls == {
+            "encode": 2 * boundaries,
+            "decode": boundaries + legs,
+            "layout": outcome.cardinality - legs,
+        }
+
+
 def test_query_many_decodes_each_distinct_payload_of_a_batch_once(tmp_path, codec_calls):
     with deploy(tmp_path, "memory") as db:
         codec_calls.update(encode=0, decode=0, layout=0)
@@ -143,6 +171,46 @@ def test_sqlite_backend_encodes_each_row_once(tmp_path, codec_calls):
         outcome = db.query(0, 10_000_000)
         assert outcome.verified and outcome.cardinality == 300
         assert codec_calls == {"encode": 300, "decode": 1, "layout": 299}
+
+
+@pytest.mark.parametrize("scheme", ["sae", "tom"])
+def test_outcome_to_wire_encodes_no_record(tmp_path, codec_calls, scheme):
+    with deploy(tmp_path, "memory", scheme=scheme, shards=2) as db:
+        outcomes = [db.query(1_000_000, 8_000_000)] + db.query_many([(0, 3_000_000)])
+        codec_calls.update(encode=0, decode=0, layout=0)
+        frames = [wire.outcome_to_wire(outcome, scheme=scheme) for outcome in outcomes]
+        assert codec_calls == {"encode": 0, "decode": 0, "layout": 0}
+        for frame, outcome in zip(frames, outcomes):
+            remote = wire.outcome_from_wire(frame)
+            assert remote.records == tuple(outcome.records)
+            assert remote.payloads == tuple(outcome.payloads)
+
+
+def test_router_merge_keeps_each_record_beside_its_bytes(tmp_path, codec_calls):
+    """Mid-migration re-sort moves (record, payload) pairs; re-serving encodes nothing."""
+    with deploy(tmp_path, "memory") as db:
+        high_leg = wire.outcome_from_wire(wire.outcome_to_wire(db.query(6_000_000, 7_000_000)))
+        low_leg = wire.outcome_from_wire(wire.outcome_to_wire(db.query(1_000_000, 2_000_000)))
+        manifest = FleetManifest(
+            scheme="sae", num_shards=2, replicas=1, boundaries=[5_000_000],
+            schema=db.dataset.schema, shard_by_id={},
+            migration={"boundaries": [3_000_000], "num_shards": 2},
+        )
+        router = FleetRouter(manifest, endpoints={})
+        # Legs in the order a union scatter may return them: keys out of order.
+        merged = router._merge(
+            1_000_000, 7_000_000, [(1, high_leg, 0, ()), (0, low_leg, 0, ())], verify=True
+        )
+        key_index = db.dataset.schema.key_index
+        keys = [record[key_index] for record in merged.records]
+        assert keys == sorted(keys) and merged.cardinality == (
+            high_leg.cardinality + low_leg.cardinality
+        )
+        assert tuple(decode_record(p) for p in merged.payloads) == merged.records
+        codec_calls.update(encode=0, decode=0, layout=0)
+        frame = wire.outcome_to_wire(merged, scheme="sae")
+        assert codec_calls == {"encode": 0, "decode": 0, "layout": 0}
+        assert wire.outcome_from_wire(frame).payloads == merged.payloads
 
 
 # ---------------------------------------------------------------------- (iii) receipt parity

@@ -1,10 +1,11 @@
 """Hostile result bytes are a verdict, not an exception.
 
-The SAE client decodes what an untrusted SP sent.  These tests corrupt the
-answer *below* the tuple-level ``AttackModel``s -- a stub in front of
-``ServiceProvider.execute`` rewrites the payload bytes themselves -- and
-require a REJECTED verification naming the defect on every query path, never
-an ``EncodingError`` escaping the scheme.  Each defect is sent as the second
+The SAE and TOM clients decode what an untrusted SP sent.  These tests
+corrupt the answer *below* the tuple-level ``AttackModel``s -- a stub in
+front of ``ServiceProvider.execute`` (or ``TomServiceProvider.execute``)
+rewrites the payload bytes themselves -- and require a REJECTED verification
+naming the defect on every query path, never an ``EncodingError`` escaping
+the scheme.  Each defect is sent as the second
 payload and as the last one, long after the client has compiled the
 result's record layout; the same-length defects keep that layout's length
 and change only header words.
@@ -165,6 +166,60 @@ def test_unverified_query_reports_malformed_bytes_without_raising(monkeypatch, d
         outcome = db.query(*FULL, verify=False)
         assert not outcome.verified and outcome.verification.skipped
         assert outcome.records == []
+        assert "truncated field payload" in outcome.verification.reason
+
+
+# ---------------------------------------------------------------------- TOM
+def install_tom(monkeypatch, provider, rewrite, position=1):
+    """Put a byte-level stub in front of one ``TomServiceProvider.execute``."""
+    honest = provider.execute
+
+    def execute(query, ctx=None):
+        payloads, vo = honest(query, ctx)
+        payloads = list(payloads)
+        if len(payloads) > abs(position):
+            payloads[position] = rewrite(payloads[position])
+        return payloads, vo
+
+    monkeypatch.setattr(provider, "execute", execute)
+
+
+def tom_fragment(defect):
+    """What the TOM client names: it hashes the received bytes before it
+    decodes them, so any rewritten byte string -- a non-canonical encoding
+    of the genuine record included -- breaks the root digest first."""
+    if defect == "sp-supplied-tuple":
+        return DEFECTS[defect][1]
+    return "root digest does not match the owner's signature"
+
+
+@pytest.mark.parametrize("shards", [1, 3], ids=["unsharded", "3-shard"])
+@pytest.mark.parametrize("defect, position", CASES)
+def test_tom_rejects_malformed_payloads(monkeypatch, dataset, defect, position, shards):
+    rewrite, _ = DEFECTS[defect]
+    design = PhysicalDesign(shards=shards)
+    with OutsourcedDB(dataset, scheme="tom", key_bits=512, design=design).setup() as db:
+        victim = 1 if shards > 1 else 0
+        install_tom(monkeypatch, db.provider.shard(victim), rewrite, position)
+        for outcome in [db.query(*FULL)] + db.query_many([FULL]):
+            report = outcome.verification
+            assert not outcome.verified and not report.ok
+            assert tom_fragment(defect) in report.reason
+            if shards > 1:
+                assert f"shard(s) {victim} rejected" in report.reason
+                verdicts = report.details["shards"]
+                assert [s for s, verdict in verdicts.items() if not verdict.ok] == [victim]
+            assert outcome.receipt.matches_leg_sums() or not outcome.receipt.legs
+        monkeypatch.undo()
+        assert db.query(*FULL).verified  # the stored data was never touched
+
+
+def test_unverified_tom_query_reports_malformed_bytes_without_raising(monkeypatch, dataset):
+    with OutsourcedDB(dataset, scheme="tom", key_bits=512).setup() as db:
+        install_tom(monkeypatch, db.provider, DEFECTS["truncated"][0])
+        outcome = db.query(*FULL, verify=False)
+        assert not outcome.verified
+        assert outcome.records == [] and outcome.payloads == []
         assert "truncated field payload" in outcome.verification.reason
 
 

@@ -38,17 +38,12 @@ def test_every_stage_is_measured(fixture, request):
 
 
 @pytest.mark.parametrize("fixture", ["sae_report", "tom_report"])
-def test_memo_counters_are_deterministic_and_populated(fixture, request):
+def test_memo_microbench_warm_pass_beats_the_cold_one(fixture, request):
+    # Both SPs ship stored bytes: no memo sits on either query path, so
+    # the report carries no replay counters, only the micro-bench.
     report = request.getfixturevalue(fixture)
-    if report.scheme == "sae":
-        # The SAE SP ships stored bytes: no memo sits on its query path.
-        assert (report.memo_hits, report.memo_misses) == (0, 0)
-        assert "memo:" not in format_profile(report)
-    else:
-        assert report.memo_hits > 0
-        assert report.memo_misses > 0
-        assert 0.0 < report.memo_hit_rate < 1.0
-    assert report.memo_speedup > 1.0  # warm replay must beat the cold one
+    assert "memo:" not in format_profile(report)
+    assert report.memo_speedup > 1.0
 
 
 @pytest.mark.parametrize("fixture", ["sae_report", "tom_report"])
@@ -82,7 +77,7 @@ def test_hotspots_and_wall_numbers_are_recorded(fixture, request):
 
 def test_format_profile_renders_every_section(tom_report):
     text = format_profile(tom_report)
-    for fragment in ("tree_walk", "memo:", "root verifier:", "node codec:",
+    for fragment in ("tree_walk", "memo micro-bench:", "root verifier:", "node codec:",
                      "hottest functions"):
         assert fragment in text
 

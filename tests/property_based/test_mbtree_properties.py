@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.signatures import make_rsa_pair
+from repro.crypto.encoding import encode_record
 from repro.crypto.xor import digest_of_record
 from repro.tom.mbtree import MBTree, MBTreeLayout
 from repro.tom.verification import verify_vo
@@ -11,6 +12,11 @@ from repro.tom.verification import verify_vo
 _SIGNER, _VERIFIER = make_rsa_pair(bits=512, seed=20090402)
 
 keys = st.integers(min_value=0, max_value=150)
+
+
+def payloads_of(records):
+    """What the SP ships: the records' canonical bytes."""
+    return [encode_record(record) for record in records]
 
 
 def build(records_by_id, page_size=256):
@@ -60,7 +66,7 @@ class TestVOVerificationProperties:
         tree = build(records)
         result, vo = tree.build_vo(low, high, record_loader=lambda rid: records[rid])
         result_records = [records[rid] for _, rid in result]
-        report = verify_vo(vo, result_records, low, high,
+        report = verify_vo(vo, payloads_of(result_records), low, high,
                            verifier=_VERIFIER, key_index=1)
         assert report.ok, report.reason
 
@@ -76,7 +82,7 @@ class TestVOVerificationProperties:
         result_records = [records[rid] for _, rid in result]
         victim = data.draw(st.integers(min_value=0, max_value=len(result_records) - 1))
         del result_records[victim]
-        report = verify_vo(vo, result_records, low, high,
+        report = verify_vo(vo, payloads_of(result_records), low, high,
                            verifier=_VERIFIER, key_index=1)
         assert not report.ok
 
@@ -89,6 +95,6 @@ class TestVOVerificationProperties:
         result, vo = tree.build_vo(low, high, record_loader=lambda rid: records[rid])
         result_records = [records[rid] for _, rid in result]
         result_records.append((10**9, fake_key, b"forged record"))
-        report = verify_vo(vo, result_records, low, high,
+        report = verify_vo(vo, payloads_of(result_records), low, high,
                            verifier=_VERIFIER, key_index=1)
         assert not report.ok

@@ -135,8 +135,6 @@ def profile_report(scheme="tom", **overrides):
         wall_qps=120.0,
         wall_p95_ms=12.0,
         stages=[StageSpan("encode", calls=10, total_ms=2.0)],
-        memo_hits=30,
-        memo_misses=10,
         memo_cold_ms=8.0,
         memo_warm_ms=1.0,
         codec_nodes=50,
@@ -164,8 +162,7 @@ class TestProfileGateMetrics:
 
     def test_deterministic_counters_are_gated(self):
         metrics = self._by_name(profile_report())
-        assert metrics["profile.tom.memo.replay_hits"].gate
-        assert metrics["profile.tom.memo.replay_hit_rate"].value == 0.75
+        assert metrics["profile.tom.verify_cache.hit_rate"].gate
         assert metrics["profile.tom.codec.size_ratio_pickle_over_codec"].value == 1.5
         assert metrics["profile.tom.codec.codec_bytes"].gate
         assert not metrics["profile.tom.codec.codec_bytes"].higher_is_better
@@ -185,10 +182,9 @@ class TestProfileGateMetrics:
         assert not metrics["profile.tom.memo.warm_speedup"].gate
 
     def test_sae_report_omits_verify_cache_metrics(self):
-        # SAE signs nothing and has no query-path memo: no replay counters.
-        metrics = self._by_name(profile_report(scheme="sae", memo_hits=0, memo_misses=0))
+        # SAE signs nothing: no root-verifier counters.
+        metrics = self._by_name(profile_report(scheme="sae"))
         assert not any("verify_cache" in name for name in metrics)
-        assert not any("memo.replay" in name for name in metrics)
         assert metrics["profile.sae.memo.warm_speedup_capped"].gate
 
 

@@ -263,7 +263,7 @@ class TestBenchProfile:
         document = json.loads((tmp_path / "BENCH_profile.json").read_text())
         metrics = document["metrics"]
         assert any(name.startswith("profile.tom.stage.") for name in metrics)
-        assert metrics["profile.tom.memo.replay_hits"]["gate"] is True
+        assert not any(".memo.replay" in name for name in metrics)  # no query-path memo
         assert metrics["profile.tom.wall_qps"]["gate"] is False
 
     def test_profile_rejects_unknown_scheme(self):

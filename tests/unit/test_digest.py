@@ -45,6 +45,20 @@ class TestDigestScheme:
         with pytest.raises(DigestError):
             SHA1.from_bytes(b"\x00" * 19)
 
+    @pytest.mark.parametrize("raw", [20, [1] * 20, "a" * 20], ids=["int", "list", "str"])
+    def test_from_bytes_refuses_what_is_not_a_byte_string(self, raw):
+        # bytes(20) is twenty zero bytes and bytes([1] * 20) a made-up
+        # digest: neither may pass for one.
+        with pytest.raises(DigestError, match=type(raw).__name__):
+            SHA1.from_bytes(raw)
+        with pytest.raises(DigestError, match=type(raw).__name__):
+            Digest(raw, scheme=SHA1)
+
+    def test_from_bytes_accepts_every_byte_string_type(self):
+        raw = bytes(range(20))
+        for value in (raw, bytearray(raw), memoryview(raw)):
+            assert SHA1.from_bytes(value).raw == raw
+
     def test_get_scheme_lookup(self):
         assert get_scheme("sha1") is SHA1
         assert get_scheme("SHA256") is SHA256

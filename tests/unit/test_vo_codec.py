@@ -2,12 +2,18 @@
 
 import pytest
 
+from repro.crypto.encoding import encode_record
 from repro.crypto.xor import digest_of_record
 from repro.tom.mbtree import MBTree, MBTreeLayout
 from repro.tom.verification import verify_vo
 from repro.tom.vo import VerificationObject, VOBoundary, VODigest, VOResultMarker, VOSubtree
 from repro.tom.vo_codec import VOCodecError, deserialize_vo, serialize_vo
 from repro.crypto.signatures import Signature
+
+
+def payloads_of(records):
+    """What the SP ships: the records' canonical bytes."""
+    return [encode_record(record) for record in records]
 
 
 @pytest.fixture()
@@ -34,7 +40,7 @@ class TestRoundTrip:
     def test_decoded_vo_still_verifies(self, signed_query):
         vo, result_records, verifier = signed_query
         decoded = deserialize_vo(serialize_vo(vo))
-        report = verify_vo(decoded, result_records, 250, 620,
+        report = verify_vo(decoded, payloads_of(result_records), 250, 620,
                            verifier=verifier, key_index=1)
         assert report.ok, report.reason
 

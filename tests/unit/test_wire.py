@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.pipeline import CostReceipt, QueryReceipt, ShardLegReceipt
 from repro.core.updates import UpdateBatch
+from repro.crypto.encoding import encode_record
 from repro.dbms.query import RangeQuery
 from repro.network import wire
 
@@ -264,6 +265,51 @@ class TestUpdateBatchCodec:
     def test_unknown_operation_raises(self):
         with pytest.raises(wire.WireError):
             wire.update_batch_from_wire([{"op": "truncate"}])
+
+
+RECORDS = [(1, 10, b"a" * 40), (2, 20, b"b" * 40), (3, 30, b"c" * 40)]
+
+
+def _block(payloads):
+    return b"".join(len(payload).to_bytes(4, "big") + payload for payload in payloads)
+
+
+class TestRecordBlock:
+    def test_round_trip_keeps_the_bytes_and_decodes_them(self):
+        payloads = [encode_record(record) for record in RECORDS]
+        block = wire.records_to_wire(payloads)
+        assert block == _block(payloads)
+        assert wire.records_from_wire(block) == (tuple(RECORDS), tuple(payloads))
+        assert wire.records_from_wire(b"") == ((), ())
+
+    @pytest.mark.parametrize(
+        "block, message",
+        [
+            (_block([encode_record(RECORDS[0])]) + b"\x00\x00", "truncated record length word"),
+            (_block([encode_record(RECORDS[0])])[:-1], "runs past the record block"),
+            # A length word of 4 GiB over a 4-byte block: refused, not allocated.
+            (b"\xff\xff\xff\xff\x00\x00\x00\x00", "runs past the record block"),
+            (_block([encode_record(RECORDS[0]) + b"\x00"]), "trailing bytes after record"),
+            (_block([encode_record(RECORDS[0]), b"\x00\x00\x00\x01\x7f\x00\x00\x00\x00"]),
+             "unknown field tag 0x7f"),
+            (_block([b"\x00\x00"]), "truncated record header"),
+        ],
+        ids=["truncated-length-word", "length-past-the-end", "huge-length", "trailing-bytes",
+             "undecodable-record", "truncated-record"],
+    )
+    def test_malformed_blocks_raise_wire_error(self, block, message):
+        with pytest.raises(wire.WireError, match=message):
+            wire.records_from_wire(block)
+
+    def test_a_field_wise_list_is_refused(self):
+        with pytest.raises(wire.WireError, match="not bytes"):
+            wire.records_from_wire([list(RECORDS[0])])
+
+    def test_outcome_frame_carries_one_bytes_value(self, sae_system):
+        outcome = sae_system.query(1_000_000, 1_400_000)
+        payload = wire.outcome_to_wire(outcome, scheme="sae")
+        assert payload["records"] == _block(outcome.payloads)
+        assert wire.WIRE_VERSION == 2
 
 
 class TestOutcomeCodec:
