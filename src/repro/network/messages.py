@@ -82,18 +82,18 @@ class VTResponse(Message):
 class VOResponse(Message):
     """The TOM SP's verification object accompanying a result.
 
-    ``payload_size_hint``, when given, must equal ``vo.size_bytes()``: a
-    sender that sized the VO once hands that number to every reader instead
-    of walking the VO (and re-encoding its boundary records) again.
+    The VO is sized once, when the message is made: the channel and the
+    leg receipt both read that number instead of walking the VO (and
+    re-encoding its boundary records) again.
     """
 
     vo: "VerificationObject"
-    payload_size_hint: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        self._size = self.vo.size_bytes()
 
     def payload_bytes(self) -> int:
-        if self.payload_size_hint is not None:
-            return self.payload_size_hint
-        return self.vo.size_bytes()
+        return self._size
 
 
 @dataclass

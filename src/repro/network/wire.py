@@ -508,6 +508,10 @@ def outcome_to_wire(
     payloads = getattr(outcome, "payloads", None)
     if payloads is None:
         payloads = [encode_record(record) for record in outcome.records]
+    elif len(payloads) != len(outcome.records):
+        raise WireError(
+            f"outcome carries {len(outcome.records)} records but {len(payloads)} payloads"
+        )
     payload = {
         "records": records_to_wire(payloads),
         "verified": bool(outcome.verified),

@@ -290,7 +290,7 @@ class TomScheme(AuthScheme):
         result_message = ResultResponse(
             records=payloads, payload_size_hint=sum(map(len, payloads))
         )
-        vo_message = VOResponse(vo=vo, payload_size_hint=vo.size_bytes())
+        vo_message = VOResponse(vo=vo)
         channel = self._network.channel(party, "client")
         channel.send(result_message, session=ctx)
         channel.send(vo_message, session=ctx)

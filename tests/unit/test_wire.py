@@ -305,6 +305,16 @@ class TestRecordBlock:
         with pytest.raises(wire.WireError, match="not bytes"):
             wire.records_from_wire([list(RECORDS[0])])
 
+    def test_outcome_whose_payloads_disagree_with_its_records_is_refused(self):
+        from types import SimpleNamespace
+
+        outcome = SimpleNamespace(
+            records=RECORDS, payloads=[encode_record(RECORDS[0])], verified=True,
+            verification=SimpleNamespace(reason="verified", details={}), receipt=None,
+        )
+        with pytest.raises(wire.WireError, match="3 records but 1 payloads"):
+            wire.outcome_to_wire(outcome)
+
     def test_outcome_frame_carries_one_bytes_value(self, sae_system):
         outcome = sae_system.query(1_000_000, 1_400_000)
         payload = wire.outcome_to_wire(outcome, scheme="sae")
