@@ -11,7 +11,9 @@ statistics are meaningful:
   fixed-width payloads and payloads of all different lengths,
 * TOM client verification (hash the received payloads, root reconstruction,
   RSA signature check, decode for the range check),
-* XB-tree maintenance (insert + delete of one tuple).
+* XB-tree maintenance (insert + delete of one tuple),
+* the paged tier's node codec: encode and decode of a full B+-tree leaf of
+  record ids and of a full XB-tree leaf.
 """
 
 import pytest
@@ -26,7 +28,9 @@ from repro.dbms.query import RangeQuery
 from repro.tom.mbtree import MBTree, MBTreeLayout
 from repro.tom.verification import verify_vo
 from repro.btree import BPlusTree, BPlusTreeConfig
-from repro.btree.node import NodeLayout
+from repro.btree.node import BPlusLeafNode, NodeLayout
+from repro.storage.heapfile import RecordId
+from repro.storage.node_codec import decode_node, encode_node
 from repro.xbtree import XBTree
 from repro.xbtree.node import XBTreeLayout
 
@@ -136,3 +140,30 @@ def test_xbtree_insert_delete_cycle(benchmark, xbtree):
 def test_record_digest_throughput(benchmark, records):
     sample = list(records.values())[:500]
     benchmark(lambda: [digest_record(record) for record in sample])
+
+
+@pytest.fixture(scope="module")
+def full_leaves(xbtree):
+    """A full 4 KB B+-tree leaf of record ids and a leaf of the XB-tree."""
+    bplus = BPlusLeafNode()
+    capacity = NodeLayout(page_size=4096).leaf_capacity
+    bplus.keys = [index * KEY_STEP for index in range(capacity)]
+    bplus.values = [RecordId(index // 8, index % 8) for index in range(capacity)]
+    bplus.next_leaf = 1
+    xb = xbtree.root
+    while not xb.is_leaf:
+        xb = xb.entries[0].child
+    return {"bplus-leaf": bplus, "xb-leaf": xb}
+
+
+@pytest.mark.parametrize("kind", ["bplus-leaf", "xb-leaf"])
+def test_node_encode(benchmark, full_leaves, kind):
+    blob = benchmark(lambda: encode_node(full_leaves[kind]))
+    assert blob[2] == {"bplus-leaf": 6, "xb-leaf": 7}[kind]  # the columnar layouts
+
+
+@pytest.mark.parametrize("kind", ["bplus-leaf", "xb-leaf"])
+def test_node_decode(benchmark, full_leaves, kind):
+    blob = encode_node(full_leaves[kind])
+    node = benchmark(lambda: decode_node(blob))
+    assert encode_node(node) == blob

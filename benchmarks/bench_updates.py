@@ -5,14 +5,17 @@ operations in O(log n) time".  This benchmark measures the end-to-end update
 path of both deployments -- data owner, dataset storage and authentication
 structure -- for a batch of mixed operations, and separately the
 authentication-only maintenance (XB-tree at the TE vs MB-tree plus RSA
-re-signing in TOM).
+re-signing in TOM).  A paged SAE case times the same kind of batch through
+64-page buffer pools, where every node an update loads is decoded and
+re-encoded, as the paged tier's writer pays it.
 """
 
 import itertools
 
 import pytest
 
-from repro.core import SaeScheme, UpdateBatch
+from repro.core import OutsourcedDB, SaeScheme, UpdateBatch
+from repro.core.design import PhysicalDesign
 from repro.tom import TomScheme
 from repro.workloads import build_dataset
 
@@ -67,6 +70,31 @@ def test_tom_update_batch(benchmark, systems):
 
     benchmark(run)
     assert tom.query(0, 10_000_000).verified
+
+
+@pytest.fixture(scope="module")
+def paged_sae(tmp_path_factory):
+    system = OutsourcedDB(
+        build_dataset(N_RECORDS, record_size=200, seed=51),
+        storage="paged",
+        data_dir=str(tmp_path_factory.mktemp("paged-sae")),
+        design=PhysicalDesign(pool_pages=64),
+    ).setup()
+    yield system
+    system.close()
+
+
+def test_paged_sae_key_changing_modify(benchmark, paged_sae):
+    """One record moved to a far key: a B+-tree and an XB-tree delete plus
+    insert, each over 64-page pools far below the trees' node counts."""
+    record = paged_sae.dataset.records[N_RECORDS // 2]
+    keys = itertools.cycle([(record[1] + 5_000_000) % 10_000_000, record[1]])
+
+    def run():
+        paged_sae.apply_updates(UpdateBatch().modify((record[0], next(keys), record[2])))
+
+    benchmark(run)
+    assert paged_sae.query(0, 10_000_000).verified
 
 
 def test_te_only_maintenance(benchmark, systems):

@@ -499,7 +499,7 @@ class BPlusTree:
                 self._merge_children(parent, index - 1, left_sibling, child, columns)
             elif right_sibling is not None:
                 self._merge_children(parent, index, child, right_sibling, columns)
-        self._refresh_separators(parent)
+        self._refresh_separators(parent, index)
         self._repair_children(parent, index)
 
     def _merge_children(self, parent: Any, position: int, left: Any, right: Any,
@@ -531,9 +531,16 @@ class BPlusTree:
             node = self._load(node.children[0])
         return node.keys[0] if node.keys else None
 
-    def _refresh_separators(self, parent: Any) -> None:
-        """Keep parent separators consistent with the leftmost key of each child."""
-        for key_index in range(len(parent.keys)):
+    def _refresh_separators(self, parent: Any, index: int) -> None:
+        """Tighten the separators beside rebalanced ``parent.children[index]``.
+
+        Only positions ``index - 2 .. index`` can have changed, so only the
+        children to their right are walked: a delete's cost stays on its
+        path.  A separator further away may be a looser bound than its right
+        child's leftmost key; every separator is still a valid bound, which
+        is all that searches and :meth:`validate` rely on.
+        """
+        for key_index in range(max(0, index - 2), min(index + 1, len(parent.keys))):
             child = self._load(parent.children[key_index + 1])
             leftmost = self._leftmost_key(child)
             if leftmost is not None:

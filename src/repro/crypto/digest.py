@@ -266,6 +266,33 @@ def coerce_digest(value: DigestLike, scheme: DigestScheme = SHA1) -> Digest:
     return Digest(value, scheme=scheme)
 
 
+_set_raw = Digest._raw.__set__
+_set_scheme = Digest._scheme.__set__
+
+
+def split_digests(block: bytes, scheme: DigestScheme) -> List[Digest]:
+    """Cut ``block`` into consecutive ``scheme`` digests, in order.
+
+    The one length check covers every digest, so each is built without
+    :class:`Digest`'s per-object validation -- the paged node codec decodes
+    hundreds of stored digests per node through here.
+    """
+    size = scheme.digest_size
+    if type(block) is not bytes or len(block) % size:
+        raise DigestError(
+            f"a digest block must be bytes of a multiple of {size} "
+            f"(the {scheme.name} digest size)"
+        )
+    new = object.__new__
+    digests = []
+    for start in range(0, len(block), size):
+        digest = new(Digest)
+        _set_raw(digest, block[start:start + size])
+        _set_scheme(digest, scheme)
+        digests.append(digest)
+    return digests
+
+
 def fold_xor(digests: Iterable[Digest], scheme: DigestScheme = SHA1) -> Digest:
     """XOR-fold an iterable of digests, returning the zero digest when empty.
 

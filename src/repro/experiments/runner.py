@@ -97,23 +97,40 @@ def measure_point(config: ExperimentConfig, distribution: str, cardinality: int,
     )
 
     design = PhysicalDesign(page_size=config.page_size)
-    sae = SaeScheme(
-        dataset,
-        scheme=scheme,
-        design=design,
-        node_access_ms=config.node_access_ms,
-    ).setup()
+    sae: Optional[SaeScheme] = None
     tom: Optional[TomScheme] = None
-    if config.include_tom:
-        tom = TomScheme(
+    try:
+        sae = SaeScheme(
             dataset,
             scheme=scheme,
             design=design,
             node_access_ms=config.node_access_ms,
-            key_bits=config.rsa_key_bits,
-            seed=config.seed,
         ).setup()
+        if config.include_tom:
+            tom = TomScheme(
+                dataset,
+                scheme=scheme,
+                design=design,
+                node_access_ms=config.node_access_ms,
+                key_bits=config.rsa_key_bits,
+                seed=config.seed,
+            ).setup()
+        measurement = _run_point(config, distribution, cardinality, dataset,
+                                 workload, sae, tom)
+    finally:
+        # Each deployment owns a dispatch pool; a figure sweep builds dozens.
+        for deployment in (sae, tom):
+            if deployment is not None:
+                deployment.close()
+    if use_cache:
+        _CACHE[key] = measurement
+    return measurement
 
+
+def _run_point(config: ExperimentConfig, distribution: str, cardinality: int,
+               dataset, workload: RangeQueryWorkload, sae: SaeScheme,
+               tom: Optional[TomScheme]) -> PointMeasurement:
+    """Query both deployments over the workload and average the readings."""
     measurement = PointMeasurement(
         distribution=distribution,
         cardinality=cardinality,
@@ -177,7 +194,4 @@ def measure_point(config: ExperimentConfig, distribution: str, cardinality: int,
         "sae_sp_fetch_accesses": measurement.sae_sp_total_accesses - measurement.sae_sp_index_accesses,
         "tom_sp_fetch_accesses": measurement.tom_sp_total_accesses - measurement.tom_sp_index_accesses,
     }
-
-    if use_cache:
-        _CACHE[key] = measurement
     return measurement

@@ -73,8 +73,8 @@ class HeapFile:
     """An unordered record file with RID-based access.
 
     Thread-safety: concurrent ``get``/``get_many``/``scan`` calls are safe
-    (the file-backed pager serialises its seek/read pairs internally, and
-    reads each of a ``get_many``'s pager calls under one hold of its lock);
+    (the file-backed pager reads each page with one positional ``pread``,
+    so concurrent readers share no file position and take no lock);
     mutations (``insert``/``delete``/``update``) require external mutual
     exclusion, which the schemes provide through their read/write lock.  Bad RIDs,
     tombstoned records and oversized payloads raise
@@ -240,8 +240,8 @@ class HeapFile:
 
         This is the SP's record-retrieval hot path: a range read hands over
         every qualifying RID at once.  The page images come from the pager
-        in one call per :data:`_READ_BATCH` RIDs (one lock hold, no
-        :class:`Page` object per record), and the whole batch charges one
+        in one call per :data:`_READ_BATCH` RIDs (no :class:`Page` object
+        per record), and the whole batch charges one
         node access per record in one counter call -- the same totals and
         per-request tallies as one fetch per record.
 

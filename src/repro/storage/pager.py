@@ -180,9 +180,15 @@ class FileBackedPager(Pager):
     offset ``i * page_size``.  Freed pages are tracked in memory and reused
     by subsequent allocations (the file is never shrunk).
 
-    Thread-safety: every file operation is a seek-then-read/write pair on
-    one shared handle, so the pager serialises them with an internal lock
-    -- the SP's heap file is read concurrently by every in-flight query.
+    Every page moves with one positional ``os.pread`` / ``os.pwrite`` on an
+    unbuffered descriptor: one system call per page, and no file position
+    shared between callers.  Writes go straight to the OS, so
+    :meth:`flush` has nothing left to push.
+
+    Thread-safety: reads and writes need no lock (each names its own
+    offset), so the SP's heap file is read by every in-flight query at
+    once; allocation and the free list serialise on an internal lock.
+    Reading or writing a closed pager raises :class:`PageError`.
     """
 
     def __init__(
@@ -194,12 +200,10 @@ class FileBackedPager(Pager):
         super().__init__(page_size=page_size, counter=counter)
         self._path = path
         self._io_lock = threading.Lock()
-        create = not os.path.exists(path)
-        self._file = open(path, "w+b" if create else "r+b")
-        self._file.seek(0, os.SEEK_END)
-        file_size = self._file.tell()
+        self._fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o666)
+        file_size = os.fstat(self._fd).st_size
         if file_size % page_size != 0:
-            self._file.close()
+            self.close()
             raise PageError(
                 f"existing file size {file_size} is not a multiple of the page size {page_size}"
             )
@@ -215,49 +219,61 @@ class FileBackedPager(Pager):
     def num_pages(self) -> int:
         return self._next_id
 
+    def _open_fd(self) -> int:
+        fd = self._fd
+        if fd < 0:
+            raise PageError(f"pager over {self._path} is closed")
+        return fd
+
+    def _pwrite(self, data: bytes, page_id: int) -> None:
+        fd, offset = self._open_fd(), page_id * self._page_size
+        view = memoryview(data)
+        while view:
+            written = os.pwrite(fd, view, offset)
+            view, offset = view[written:], offset + written
+
+    def _pread(self, fd: int, page_id: int) -> bytes:
+        raw = os.pread(fd, self._page_size, page_id * self._page_size)
+        if len(raw) != self._page_size:
+            raise PageError(f"short read of page {page_id}: {len(raw)} bytes")
+        return raw
+
     def allocate(self) -> PageId:
         with self._io_lock:
             if self._free_list:
                 page_id = self._free_list.pop()
             else:
                 page_id = self._next_id
+                self._pwrite(bytes(self._page_size), page_id)
                 self._next_id += 1
-                self._file.seek(page_id * self._page_size)
-                self._file.write(bytes(self._page_size))
         self._counter.record_allocation()
         return PageId(page_id)
 
     def read_page(self, page_id: PageId) -> Page:
         if not (0 <= int(page_id) < self._next_id):
             raise PageError(f"page {page_id} is out of range")
-        with self._io_lock:
-            self._file.seek(int(page_id) * self._page_size)
-            raw = self._file.read(self._page_size)
+        raw = self._pread(self._open_fd(), int(page_id))
         self._counter.record_read()
         return Page(page_id, self._page_size, raw)
 
     def read_pages_bytes(self, page_ids: Sequence[PageId]) -> List[bytes]:
-        # One lock hold for the whole batch; a page named by several records
-        # is fetched from the file once but charged once per request.
-        page_size = self._page_size
+        # A page named by several records is fetched from the file once but
+        # charged once per request.
+        fd = self._open_fd()
         images: Dict[int, bytes] = {}
-        with self._io_lock:
-            for page_id in page_ids:
-                if page_id in images:
-                    continue
-                if not (0 <= page_id < self._next_id):
-                    raise PageError(f"page {page_id} is out of range")
-                self._file.seek(page_id * page_size)
-                images[page_id] = self._file.read(page_size)
+        for page_id in page_ids:
+            if page_id in images:
+                continue
+            if not (0 <= page_id < self._next_id):
+                raise PageError(f"page {page_id} is out of range")
+            images[page_id] = self._pread(fd, page_id)
         self._counter.record_read(len(page_ids))
         return [images[page_id] for page_id in page_ids]
 
     def write_page(self, page: Page) -> None:
         if not (0 <= int(page.page_id) < self._next_id):
             raise PageError(f"page {page.page_id} is out of range")
-        with self._io_lock:
-            self._file.seek(int(page.page_id) * self._page_size)
-            self._file.write(page.snapshot())
+        self._pwrite(page.snapshot(), int(page.page_id))
         page.mark_clean()
         self._counter.record_write()
 
@@ -276,10 +292,10 @@ class FileBackedPager(Pager):
         self._free_list = [int(pid) for pid in page_ids]
 
     def flush(self) -> None:
-        """Force buffered writes to the OS."""
-        self._file.flush()
+        """Writes are unbuffered: every page already reached the OS."""
 
     def close(self) -> None:
-        if not self._file.closed:
-            self._file.flush()
-            self._file.close()
+        with self._io_lock:
+            fd, self._fd = self._fd, -1
+        if fd >= 0:
+            os.close(fd)

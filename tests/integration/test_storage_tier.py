@@ -325,3 +325,31 @@ def test_an_sqlite_deployment_closes_without_a_snapshot(tmp_path):
     db.close()
     assert db.system.closed
     assert not has_snapshot(str(tmp_path))
+
+
+def test_a_key_changing_modify_encodes_its_path_not_the_tree(tmp_path, monkeypatch):
+    """A one-record modify re-encodes the nodes on the paths it walks (SP
+    B+-tree delete and insert, TE XB-tree delete and insert), not every
+    sibling of every parent: the commit encodes what the scope loaded."""
+    from repro.storage import node_store
+
+    dataset = build_dataset(20_000, record_size=96, seed=5)
+    db = OutsourcedDB(
+        dataset,
+        storage="paged",
+        data_dir=str(tmp_path),
+        design=PhysicalDesign(pool_pages=64),
+    ).setup()
+    calls = []
+    encode = node_store.encode_node
+    monkeypatch.setattr(node_store, "encode_node", lambda node: calls.append(1) or encode(node))
+    with db:
+        for step, record in enumerate(dataset.records[::2_500]):
+            calls.clear()
+            db.apply_updates(UpdateBatch().modify(
+                (record[0], (record[1] + 4_999_999 * (step + 1)) % 10_000_000, "moved")
+            ))
+            assert 0 < len(calls) <= 20, (step, len(calls))
+        low, high = 2_000_000, 2_100_000
+        outcome = db.query(low, high)
+        assert outcome.verified

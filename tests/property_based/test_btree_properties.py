@@ -6,6 +6,8 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.btree import BPlusTree, BPlusTreeConfig
 from repro.btree.node import NodeLayout
+from repro.storage.heapfile import RecordId
+from repro.storage.node_store import PagedNodeStore
 
 
 def make_tree():
@@ -80,3 +82,64 @@ BPlusTreeMachine.TestCase.settings = settings(
     max_examples=25, stateful_step_count=40, deadline=None
 )
 TestBPlusTreeStateMachine = BPlusTreeMachine.TestCase
+
+
+duplicate_keys = st.integers(min_value=0, max_value=12)
+
+
+class DuplicateKeyMachine(RuleBasedStateMachine):
+    """Inserts and deletes over a dozen keys, so most keys repeat and
+    deletes rebalance nodes whose separators equal their neighbours' keys.
+
+    Values are heap-file ``RecordId``s, so the paged variant pages every
+    leaf through the codec's record-id columns.  After every step the tree
+    validates and each point and short range equals a sorted oracle.
+    """
+
+    paged = False
+
+    def __init__(self):
+        super().__init__()
+        store = PagedNodeStore(pool_pages=4) if self.paged else None
+        self.tree = BPlusTree(BPlusTreeConfig(layout=NodeLayout(page_size=96)), store=store)
+        self.model = []
+        self.next_value = 0
+
+    @rule(key=duplicate_keys, copies=st.integers(min_value=1, max_value=4))
+    def insert(self, key, copies):
+        for _ in range(copies):
+            value = RecordId(self.next_value // 5, self.next_value % 5)
+            self.next_value += 1
+            self.tree.insert(key, value)
+            self.model.append((key, value))
+
+    @rule(data=st.data())
+    def delete_existing(self, data):
+        if not self.model:
+            return
+        index = data.draw(st.integers(min_value=0, max_value=len(self.model) - 1))
+        key, value = self.model.pop(index)
+        self.tree.delete(key, value)
+
+    @invariant()
+    def every_range_matches_the_oracle(self):
+        self.tree.validate()
+        oracle = sorted(self.model)
+        assert sorted(self.tree.range_search(0, 12)) == oracle
+        for low in range(13):
+            assert sorted(self.tree.search(low)) == [v for k, v in oracle if k == low]
+            high = low + 2
+            assert sorted(self.tree.range_search(low, high)) == [
+                (k, v) for k, v in oracle if low <= k <= high
+            ]
+
+
+class PagedDuplicateKeyMachine(DuplicateKeyMachine):
+    paged = True
+
+
+_DUPLICATE_SETTINGS = settings(max_examples=20, stateful_step_count=50, deadline=None)
+DuplicateKeyMachine.TestCase.settings = _DUPLICATE_SETTINGS
+PagedDuplicateKeyMachine.TestCase.settings = _DUPLICATE_SETTINGS
+TestDuplicateKeysMemory = DuplicateKeyMachine.TestCase
+TestDuplicateKeysPaged = PagedDuplicateKeyMachine.TestCase

@@ -1,5 +1,6 @@
 """Unit tests for the experiment runner's measurement bookkeeping."""
 
+import threading
 from dataclasses import replace
 
 import pytest
@@ -62,3 +63,11 @@ class TestMeasurePoint:
         config = replace(TINY, digest_scheme="sha256", label="tiny-sha256")
         point = measure_point(config, "uniform", 400)
         assert point.sae_auth_bytes == 32
+
+    def test_point_closes_both_deployments(self):
+        # Each deployment starts a dispatch pool on its first query; a point
+        # that left them open would strand those threads for the process.
+        before = threading.active_count()
+        point = measure_point(ExperimentConfig.quick(), "uniform", 2_000, use_cache=False)
+        assert point.all_verified
+        assert threading.active_count() == before

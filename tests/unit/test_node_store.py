@@ -14,7 +14,27 @@ from repro.storage import (
     PoolStats,
     StorageConfig,
 )
-from repro.storage.node_codec import encode_node
+from repro.storage import node_store as node_store_module
+from repro.storage.node_codec import CODEC_MAGIC, NodeCodecError, encode_node
+
+#: The version-1 header of a pickle-wrapped payload (magic, version 1, node
+#: type 0, no scheme name), which the store still reads.
+_V1_PICKLED = bytes([CODEC_MAGIC, 1, 0, 0])
+
+
+@pytest.fixture(autouse=True)
+def toy_nodes_as_version1_pickles(monkeypatch):
+    """Most tests here page toy nodes (lists, dicts) that have no codec
+    layout; the store writes them as the version-1 pickle-wrapped payload,
+    byte for byte what it wrote for them before the pickle writer was
+    retired, and reads them back through the version-1 decoder."""
+    def encode(node):
+        try:
+            return encode_node(node)
+        except NodeCodecError:
+            return _V1_PICKLED + pickle.dumps(node, protocol=pickle.HIGHEST_PROTOCOL)
+
+    monkeypatch.setattr(node_store_module, "encode_node", encode)
 
 
 class TestMemoryNodeStore:
