@@ -109,7 +109,7 @@ _UNSIGNED = "BHIQ"
 
 
 def _width(values: Sequence[Any], signed: bool) -> Optional[int]:
-    """Narrowest width code for ``values``, or ``None`` if one is no int64."""
+    """Narrowest width code for ``values``, or ``None`` if one is no 64-bit int."""
     if not values:
         return 0
     if not all(type(value) is int for value in values):

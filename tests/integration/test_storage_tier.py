@@ -350,6 +350,4 @@ def test_a_key_changing_modify_encodes_its_path_not_the_tree(tmp_path, monkeypat
                 (record[0], (record[1] + 4_999_999 * (step + 1)) % 10_000_000, "moved")
             ))
             assert 0 < len(calls) <= 20, (step, len(calls))
-        low, high = 2_000_000, 2_100_000
-        outcome = db.query(low, high)
-        assert outcome.verified
+        assert db.query(2_000_000, 2_100_000).verified
