@@ -159,8 +159,8 @@ class ShardLegReceipt:
     A sharded deployment answers one range query with several independent
     (SP leg, TE leg) pairs -- one per overlapping shard.  The merged
     :class:`QueryReceipt` *sums* the legs (total work charged), while the
-    response-time model takes the *maximum* over the legs (they proceed in
-    parallel), which is what :attr:`QueryReceipt.critical_path_ms` reports.
+    response-time model takes the *maximum* over the legs (it models them
+    as parallel), which is what :attr:`QueryReceipt.critical_path_ms` reports.
 
     In a replicated deployment ``replica`` is the replica index that served
     the leg and ``failed_replicas`` lists the dead replicas attempted before
@@ -210,9 +210,9 @@ class QueryReceipt:
     def critical_path_ms(self) -> float:
         """Scatter-gather response-time model.
 
-        Shard legs execute in parallel, so the client waits for the slowest
-        leg (each leg's SP and TE in turn proceed independently), then
-        verifies the gathered result.  Without legs this degenerates to
+        Shard legs are modelled as parallel, so the client waits for the
+        slowest leg (each leg's SP and TE in turn proceed independently),
+        then verifies the gathered result.  Without legs this degenerates to
         :attr:`response_time_ms`.
         """
         if not self.legs:

@@ -8,21 +8,24 @@ scheme layer needs:
 
 * :meth:`SaeScheme.setup` -- the DO outsources its dataset;
 * :meth:`SaeScheme.query` -- the client sends a range query to the SP and
-  the TE *in parallel* (the paper's central claim is that the two are
-  independent, which is what keeps the response time low), verifies the
-  result, and a :class:`QueryOutcome` captures every cost the paper reports
-  (node accesses at SP and TE, authentication bytes, result bytes, client
-  CPU time, verification verdict);
-* :meth:`SaeScheme.query_many` -- a batched variant: SP executions are
-  dispatched across the thread pool while each TE slice answers the whole
-  batch with one shared XB-tree walk, and the client decodes and hashes
-  each distinct record payload once across overlapping results.
+  to the TE, verifies the result, and a :class:`QueryOutcome` captures
+  every cost the paper reports (node accesses at SP and TE, authentication
+  bytes, result bytes, client CPU time, verification verdict).  The paper's
+  central claim is that the SP and the TE are independent, which is what
+  keeps the response time low; the receipt's ``response_time_ms`` and
+  ``critical_path_ms`` model that overlap from the counts, while the legs
+  themselves run one after the other on the calling thread (they overlap
+  for real only in separate processes);
+* :meth:`SaeScheme.query_many` -- a batched variant: the SP executions run
+  grouped by shard while each TE slice answers the whole batch with one
+  shared XB-tree walk, and the client decodes and hashes each distinct
+  record payload once across overlapping results.
 
 Both run the one scatter path of :class:`~repro.core.scheme.AuthScheme`
 (an unsharded deployment is a scatter with one leg, since the token of a
 range is the XOR of its per-shard tokens).  :class:`SaeScheme` supplies
 the hooks: :meth:`~SaeScheme._execute` / :meth:`~SaeScheme._answer` for an
-SP leg, :meth:`~SaeScheme._submit_leg_proofs` /
+SP leg, :meth:`~SaeScheme._serve_leg_proofs` /
 :meth:`~SaeScheme._serve_leg_proof_batches` for the TE's token legs, and
 :meth:`~SaeScheme._conclude_legs` for the client's verdict.
 
@@ -141,7 +144,6 @@ class SaeScheme(AuthScheme):
         node_access_ms: Optional[float] = None,
         attack: Optional[AttackModel] = None,
         index_fill_factor: float = 1.0,
-        max_workers: Optional[int] = None,
         storage: str = "memory",
         data_dir: Optional[str] = None,
         design: Optional[PhysicalDesign] = None,
@@ -154,7 +156,6 @@ class SaeScheme(AuthScheme):
             data_dir=data_dir,
             node_access_ms=node_access_ms,
             index_fill_factor=index_fill_factor,
-            max_workers=max_workers,
         )
         self._backend = backend
         self._build_providers(
@@ -208,7 +209,6 @@ class SaeScheme(AuthScheme):
         cls,
         data_dir: str,
         pool_pages: Optional[int] = None,
-        max_workers: Optional[int] = None,
         state: Optional[dict] = None,
     ) -> "SaeScheme":
         """Warm-restart a deployment from a :meth:`snapshot` directory.
@@ -218,7 +218,7 @@ class SaeScheme(AuthScheme):
         """
         state = cls._load_state(data_dir, state)
         system = cls._reopen(
-            data_dir, state, pool_pages, max_workers, backend=state["params"]["backend"]
+            data_dir, state, pool_pages, backend=state["params"]["backend"]
         )
         system.provider.restore_state(state["provider"], state["dataset"].schema)
         system.trusted_entity.restore_state(state["te"])
@@ -286,21 +286,20 @@ class SaeScheme(AuthScheme):
             results.append((token, message))
         return results
 
-    def _submit_leg_proofs(self, pool, query, shard_ids, leg_contexts, verify):
-        """SP and TE legs run concurrently on the pool -- they are
-        independent parties in the paper's model."""
+    def _serve_leg_proofs(self, query, shard_ids, leg_contexts, verify):
+        """The TE's token legs, one per SP leg.  The TE is a party of its
+        own in the paper's model; the receipt's ``response_time_ms`` and
+        ``critical_path_ms`` charge the two legs as overlapping."""
         return [
-            pool.submit(self._serve_te, query, leg_ctx, shard_id) if verify else None
+            self._serve_te(query, leg_ctx, shard_id) if verify else None
             for shard_id, leg_ctx in zip(shard_ids, leg_contexts)
         ]
 
-    def _serve_leg_proof_batches(
-        self, pool, queries, shard_ids_per_query, leg_contexts, verify
-    ):
-        """One shared XB-tree walk per TE slice, each a pool task."""
+    def _serve_leg_proof_batches(self, queries, shard_ids_per_query, leg_contexts, verify):
+        """One shared XB-tree walk per TE slice, in shard order."""
         if not verify:
             return {}
-        te_futures = []
+        proofs = {}
         for shard_id in range(self.num_shards):
             positions = [
                 position
@@ -308,21 +307,16 @@ class SaeScheme(AuthScheme):
                 if shard_id in shard_ids
             ]
             if positions:
-                te_futures.append((
+                batch = self._serve_te_batch(
+                    [queries[p] for p in positions],
+                    [leg_contexts[(p, shard_id)] for p in positions],
                     shard_id,
-                    positions,
-                    pool.submit(
-                        self._serve_te_batch,
-                        [queries[p] for p in positions],
-                        [leg_contexts[(p, shard_id)] for p in positions],
-                        shard_id,
-                    ),
-                ))
-        return {
-            (position, shard_id): proof
-            for shard_id, positions, future in te_futures
-            for position, proof in zip(positions, future.result())
-        }
+                )
+                proofs.update(
+                    ((position, shard_id), proof)
+                    for position, proof in zip(positions, batch)
+                )
+        return proofs
 
     # ------------------------------------------------------------------ outcomes
     def _conclude_legs(

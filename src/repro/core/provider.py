@@ -295,10 +295,9 @@ class ShardedServiceProvider(AttackableFleet):
     the outsourced dataset; each shard runs its own conventional DBMS (heap
     file + B+-tree, or sqlite table).  The fleet has no merged ``execute``:
     the scheme facade scatters a range query to the overlapping shards
-    (:meth:`shards_for`) and runs every shard's ``execute`` itself, in
-    parallel on its thread pool, so the per-query cost receipt is the *sum*
-    of the shard legs and the paper's accounting is unchanged by the
-    deployment shape.
+    (:meth:`shards_for`) and runs every shard's ``execute`` itself, so the
+    per-query cost receipt is the *sum* of the shard legs and the paper's
+    accounting is unchanged by the deployment shape.
     """
 
     not_ready_error = ProviderError

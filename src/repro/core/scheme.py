@@ -37,9 +37,6 @@ import functools
 import inspect
 import os
 import pickle
-import threading
-import weakref
-from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.core.dataset import Dataset
@@ -134,10 +131,6 @@ def is_reversed_range(low: Any, high: Any) -> bool:
     return low is not None and high is not None and low > high
 
 
-def _shutdown_pool(executor: ThreadPoolExecutor) -> None:
-    executor.shutdown(wait=False, cancel_futures=True)
-
-
 class AuthScheme(abc.ABC):
     """One deployment lifecycle, run by every authentication scheme.
 
@@ -152,8 +145,7 @@ class AuthScheme(abc.ABC):
     :meth:`close`, and the one serving path of ``query``/``query_many``: a
     scatter to the overlapping shards (an unsharded deployment is the
     one-shard case, whose parties answer as shard 0), the per-shard
-    replica-failover loop, the chunking of batch legs and the merging of
-    leg receipts.
+    replica-failover loop and the merging of leg receipts.
 
     A scheme differs only in how an answer is proven, and supplies hooks
     for exactly that:
@@ -162,7 +154,7 @@ class AuthScheme(abc.ABC):
       :meth:`_answer` ships what it returned (SAE: the records' bytes;
       TOM: the records plus their VO).  A scheme with a separate
       authenticator (SAE's TE) also overrides the proof hooks
-      :meth:`_submit_leg_proofs` and :meth:`_serve_leg_proof_batches`,
+      :meth:`_serve_leg_proofs` and :meth:`_serve_leg_proof_batches`,
       whose defaults suit a proof that rides on the SP's answer;
     * verifying and building the outcome -- :meth:`_conclude_legs` (a
       query's shard legs) and :meth:`_empty_outcome` (a reversed range);
@@ -174,12 +166,14 @@ class AuthScheme(abc.ABC):
 
     Thread-safety: ``query``/``query_many`` may be called from any number
     of threads concurrently, each request carrying its own
-    :class:`~repro.core.pipeline.ExecutionContext`; ``apply_updates`` and
-    ``snapshot`` serialise against in-flight queries through the
-    deployment's read/write lock.  Failure modes: every operation on a
-    closed deployment raises :class:`SchemeError` (a closed scheme never
-    silently revives its pool), and ``snapshot``/``restore`` raise
-    :class:`SchemeError` when the storage tier cannot support them.
+    :class:`~repro.core.pipeline.ExecutionContext` and running its legs on
+    the calling thread; ``apply_updates``, ``snapshot`` and ``close``
+    serialise against in-flight queries through the deployment's
+    read/write lock.  Failure modes: every operation on a closed
+    deployment raises :class:`SchemeError` -- also a query that was
+    already waiting for the lock when :meth:`close` ran -- and
+    ``snapshot``/``restore`` raise :class:`SchemeError` when the storage
+    tier cannot support them.
     """
 
     #: Registry key of the scheme (e.g. ``"sae"``); set by subclasses.
@@ -196,7 +190,6 @@ class AuthScheme(abc.ABC):
         data_dir: Optional[str],
         node_access_ms: Optional[float],
         index_fill_factor: float,
-        max_workers: Optional[int],
     ) -> None:
         """The construction every scheme shares (call it first)."""
         # ``design`` is the only layout input: ``storage`` names just the
@@ -229,16 +222,10 @@ class AuthScheme(abc.ABC):
         )
         self._sp_replicas: List[Any] = []
         self._ready = False
-        # Queries hold this shared; update batches and snapshots hold it
-        # exclusive, so an in-flight query never observes a half-applied
-        # batch at any party.
+        # Queries hold this shared; update batches, snapshots and close()
+        # hold it exclusive, so an in-flight query never observes a
+        # half-applied batch at any party, nor a closed store.
         self._state_lock = ReadWriteLock()
-        # Same number feeds the executor and the batch chunking, so a
-        # query_many batch always produces one SP slice per pool worker.
-        self._num_workers = max_workers or min(32, (os.cpu_count() or 1) + 4)
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._executor_lock = threading.Lock()
-        self._finalizer: Optional[weakref.finalize] = None
         self._closed = False
 
     def _build_providers(
@@ -370,8 +357,8 @@ class AuthScheme(abc.ABC):
         advanced epoch stamp, so every replica stays at the owner's current
         epoch.
         """
-        self._ensure_open()
         with self._state_lock.write_locked():
+            self._ensure_open()
             self.owner.apply_updates(batch)
             for standby in self._sp_replicas[1:]:
                 self._sync_standby(standby, standby.apply_updates(batch))
@@ -391,10 +378,12 @@ class AuthScheme(abc.ABC):
         return self._closed
 
     def _ensure_open(self) -> None:
-        """Refuse to serve on a closed scheme instead of silently reviving.
+        """Refuse to serve on a closed scheme with a typed error.
 
-        A closed deployment is permanently closed: reviving its pool would
-        leak a fresh thread pool per revival.
+        A closed deployment is permanently closed: its stores and pagers
+        have released their files, so serving would fail deep inside a
+        party instead.  Callers that take the state lock also check under
+        it, because :meth:`close` may run while they wait for it.
         """
         if self._closed:
             raise SchemeError(
@@ -402,26 +391,17 @@ class AuthScheme(abc.ABC):
                 "deploy a new instance instead of reusing a closed one"
             )
 
-    def _pool(self) -> ThreadPoolExecutor:
-        with self._executor_lock:
-            self._ensure_open()
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self._num_workers,
-                    thread_name_prefix=f"{self.scheme_name}-dispatch",
-                )
-                self._finalizer = weakref.finalize(self, _shutdown_pool, self._executor)
-            return self._executor
-
     def close(self) -> None:
         """Checkpoint (when snapshotable) and shut the deployment down.
 
         When :meth:`snapshot` would succeed a final snapshot is taken
         first, so updates applied since the last explicit one survive a
-        clean shutdown.  The standbys' and parties' stores and pagers are
-        then closed (releasing their file handles) and the dispatch pool
-        shut down -- even when that final snapshot raised, whose error
-        then propagates.  Idempotent and permanent.
+        clean shutdown.  The deployment is then marked closed and the
+        standbys' and parties' stores and pagers closed (releasing their
+        file handles) under the exclusive lock -- even when that final
+        snapshot raised, whose error then propagates -- so a query waiting
+        for the lock is refused with :class:`SchemeError` instead of
+        reaching a closed store.  Idempotent and permanent.
         """
         if self._closed:
             return
@@ -429,18 +409,12 @@ class AuthScheme(abc.ABC):
             if self._snapshot_refusal() is None:
                 self.snapshot()
         finally:
-            for standby in self._sp_replicas[1:]:
-                standby.close_storage()
-            for party in self._parties().values():
-                party.close_storage()
-            with self._executor_lock:
+            with self._state_lock.write_locked():
                 self._closed = True
-                executor, self._executor = self._executor, None
-                if self._finalizer is not None:
-                    self._finalizer.detach()
-                    self._finalizer = None
-            if executor is not None:
-                executor.shutdown(wait=True)
+                for standby in self._sp_replicas[1:]:
+                    standby.close_storage()
+                for party in self._parties().values():
+                    party.close_storage()
 
     def __enter__(self) -> "AuthScheme":
         return self
@@ -481,6 +455,7 @@ class AuthScheme(abc.ABC):
         if refusal is not None:
             raise SchemeError(refusal)
         with self._state_lock.write_locked():
+            self._ensure_open()
             parties = self._parties()
             for party in parties.values():
                 party.flush_storage()
@@ -527,7 +502,6 @@ class AuthScheme(abc.ABC):
         data_dir: str,
         state: dict,
         pool_pages: Optional[int],
-        max_workers: Optional[int],
         **options: Any,
     ) -> "AuthScheme":
         """A paged deployment over ``data_dir`` built from snapshot params.
@@ -542,7 +516,6 @@ class AuthScheme(abc.ABC):
             scheme=get_scheme(params["digest"]),
             node_access_ms=params["node_access_ms"],
             index_fill_factor=params["index_fill_factor"],
-            max_workers=max_workers,
             storage="paged",
             data_dir=data_dir,
             design=design_from_snapshot_params(params, pool_pages),
@@ -566,32 +539,29 @@ class AuthScheme(abc.ABC):
         The outcome exposes ``verified``, ``records``, ``cardinality`` and a
         :class:`~repro.core.pipeline.QueryReceipt` on ``receipt``.  The
         query is scattered to the overlapping shards only (an unsharded
-        deployment is a scatter with one leg), every shard's legs run as
-        pool tasks, and the gathered receipt carries the summed charges.  A
-        reversed range (``low > high``) returns an empty verified result at
-        zero cost.
+        deployment is a scatter with one leg); every shard's SP leg and
+        then every proof leg runs on the calling thread, in shard order,
+        and the gathered receipt carries the summed charges.  The paper's
+        SP/TE independence is a cost-model statement, which the receipt's
+        ``response_time_ms`` and ``critical_path_ms`` compute from counts;
+        legs overlap for real only in separate processes (the fleet
+        router's shard legs).  A reversed range (``low > high``) returns
+        an empty verified result at zero cost.
         """
         self._require_ready()
         if is_reversed_range(low, high):
             return self._empty_outcome(low, high, verify)
         query = RangeQuery(low=low, high=high, attribute=self._dataset.schema.key_column)
-        pool = self._pool()
         with self._state_lock.read_locked():
+            self._ensure_open()
             expected_epoch = self.owner.epoch
             shard_ids = self.provider.shards_for(query)
             leg_contexts = [ExecutionContext(query=query) for _ in shard_ids]
-            sp_futures = [
-                pool.submit(self._serve_sp_leg, shard_id, query, leg_ctx)
+            answers = [
+                self._serve_sp_leg(shard_id, query, leg_ctx)
                 for shard_id, leg_ctx in zip(shard_ids, leg_contexts)
             ]
-            proof_futures = self._submit_leg_proofs(
-                pool, query, shard_ids, leg_contexts, verify
-            )
-            answers = [future.result() for future in sp_futures]
-            proofs = [
-                future.result() if future is not None else None
-                for future in proof_futures
-            ]
+            proofs = self._serve_leg_proofs(query, shard_ids, leg_contexts, verify)
         return self._conclude_legs(
             query, shard_ids, leg_contexts, answers, proofs, verify, expected_epoch
         )
@@ -599,12 +569,12 @@ class AuthScheme(abc.ABC):
     def query_many(self, bounds: Sequence[Tuple[Any, Any]], verify: bool = True) -> List:
         """Issue a batch of range queries; one outcome per query, in order.
 
-        The SP legs are grouped by shard and chunked across the dispatch
-        pool (one contiguous slice per worker); verdicts, per-query
-        node-access counts and per-query byte accounting are identical to
-        looping over :meth:`query`.  Reversed ranges anywhere in the batch
-        come back as empty verified results with zero-cost receipts, in
-        position.
+        The SP legs run on the calling thread grouped by shard, so each
+        shard's record cache and tree walk stay hot, then each shard's
+        proof legs as one batch; verdicts, per-query node-access counts and
+        per-query byte accounting are identical to looping over
+        :meth:`query`.  Reversed ranges anywhere in the batch come back as
+        empty verified results with zero-cost receipts, in position.
         """
         self._require_ready()
         if not bounds:
@@ -653,11 +623,11 @@ class AuthScheme(abc.ABC):
         """Batched scatter-gather for bounds already known to be non-degenerate."""
         attribute = self._dataset.schema.key_column
         queries = [RangeQuery(low=low, high=high, attribute=attribute) for low, high in bounds]
-        pool = self._pool()
         record_caches: Dict[int, dict] = {
             shard_id: {} for shard_id in range(self.num_shards)
         }
         with self._state_lock.read_locked():
+            self._ensure_open()
             expected_epoch = self.owner.epoch
             shard_ids_per_query = [self.provider.shards_for(query) for query in queries]
             legs = [
@@ -668,27 +638,18 @@ class AuthScheme(abc.ABC):
             leg_contexts = {
                 leg: ExecutionContext(query=queries[leg[0]]) for leg in legs
             }
-            # Group legs by shard so a worker's record cache and tree walk
-            # stay hot, then chunk to one future per pool worker.
-            ordered_legs = sorted(legs, key=lambda leg: (leg[1], leg[0]))
-            sp_futures = [
-                pool.submit(
-                    self._serve_chunk,
-                    [
-                        (shard_id, queries[position], leg_contexts[(position, shard_id)],
-                         record_caches[shard_id])
-                        for position, shard_id in chunk
-                    ],
+            # Group legs by shard so a shard's record cache and tree walk
+            # stay hot.
+            answers = {
+                (position, shard_id): self._serve_sp_leg(
+                    shard_id, queries[position], leg_contexts[(position, shard_id)],
+                    record_caches[shard_id],
                 )
-                for chunk in self._chunked(ordered_legs)
-            ]
+                for position, shard_id in sorted(legs, key=lambda leg: (leg[1], leg[0]))
+            }
             proofs = self._serve_leg_proof_batches(
-                pool, queries, shard_ids_per_query, leg_contexts, verify
+                queries, shard_ids_per_query, leg_contexts, verify
             )
-            answers = dict(zip(
-                ordered_legs,
-                [answer for future in sp_futures for answer in future.result()],
-            ))
         digest_cache: dict = {}
         outcomes = []
         for position, query in enumerate(queries):
@@ -707,20 +668,6 @@ class AuthScheme(abc.ABC):
                 )
             )
         return outcomes
-
-    def _chunked(self, items: List) -> List[List]:
-        """Contiguous slices of ``items``, one per pool worker at most.
-
-        One future per worker, not one per leg: the legs of a big batch
-        would otherwise thrash the scheduler and convoy on locks.
-        """
-        num_chunks = max(1, min(len(items), self._num_workers))
-        size = (len(items) + num_chunks - 1) // num_chunks
-        return [items[start:start + size] for start in range(0, len(items), size)]
-
-    def _serve_chunk(self, calls: Sequence[Tuple]) -> List:
-        """Serve one pool worker's slice of a batch's SP legs, in order."""
-        return [self._serve_sp_leg(*call) for call in calls]
 
     def _party(self, role: str, shard_id: int) -> str:
         """A leg's party name on the channels: ``SP``/``TE`` in an unsharded
@@ -786,15 +733,15 @@ class AuthScheme(abc.ABC):
         """Send what ``party`` served to the client; returns the leg's answer."""
 
     # ------------------------------------------------------------------ proof legs
-    def _submit_leg_proofs(
-        self, pool: ThreadPoolExecutor, query: RangeQuery, shard_ids: Sequence[int],
+    def _serve_leg_proofs(
+        self, query: RangeQuery, shard_ids: Sequence[int],
         leg_contexts: Sequence[ExecutionContext], verify: bool,
-    ) -> List[Optional[Future]]:
-        """One future (or ``None``) per shard leg for that leg's proof."""
+    ) -> List[Any]:
+        """One proof (or ``None``) per shard leg, in shard order."""
         return [None] * len(shard_ids)
 
     def _serve_leg_proof_batches(
-        self, pool: ThreadPoolExecutor, queries: Sequence[RangeQuery],
+        self, queries: Sequence[RangeQuery],
         shard_ids_per_query: Sequence[Sequence[int]],
         leg_contexts: Dict[Tuple[int, int], ExecutionContext], verify: bool,
     ) -> Dict[Tuple[int, int], Any]:
@@ -1044,7 +991,8 @@ class OutsourcedDB:
         return self
 
     def close(self) -> None:
-        """Shut down the scheme's dispatch resources (idempotent)."""
+        """Checkpoint (when snapshotable) and close the deployment's
+        stores (idempotent); later operations raise :class:`SchemeError`."""
         self._system.close()
 
     def __enter__(self) -> "OutsourcedDB":
@@ -1079,9 +1027,8 @@ def restore_deployment(data_dir: str, **kwargs: Any) -> OutsourcedDB:
     """Warm-restart whatever deployment was snapshotted under ``data_dir``.
 
     Reads the snapshot's scheme tag, dispatches to that scheme's
-    ``restore`` classmethod (``kwargs`` -- e.g. ``pool_pages`` or
-    ``max_workers`` -- are forwarded), and wraps the result in an
-    :class:`OutsourcedDB`.  Raises :class:`SchemeError` when ``data_dir``
+    ``restore`` classmethod (``kwargs`` -- e.g. ``pool_pages`` -- are
+    forwarded), and wraps the result in an :class:`OutsourcedDB`.  Raises :class:`SchemeError` when ``data_dir``
     holds no (or an incompatible) snapshot.
     """
     state = load_snapshot_state(data_dir)

@@ -14,8 +14,9 @@ internally), so this backend is used for functional demonstrations and
 integration tests rather than for the cost figures.
 
 Connections are opened with ``check_same_thread=False`` and every statement
-runs under a lock, because the service provider's query leg executes on the
-protocol's dispatch thread pool.
+runs under a lock, because the service provider's query leg runs on
+whichever thread issued the query: any number of caller threads, or a
+served deployment's executor threads.
 """
 
 from __future__ import annotations

@@ -118,7 +118,7 @@ def measure_point(config: ExperimentConfig, distribution: str, cardinality: int,
         measurement = _run_point(config, distribution, cardinality, dataset,
                                  workload, sae, tom)
     finally:
-        # Each deployment owns a dispatch pool; a figure sweep builds dozens.
+        # Each deployment holds open stores; a figure sweep builds dozens.
         for deployment in (sae, tom):
             if deployment is not None:
                 deployment.close()

@@ -158,7 +158,6 @@ class TomScheme(AuthScheme):
         key_bits: int = 1024,
         seed: Optional[int] = 2009,
         index_fill_factor: float = 1.0,
-        max_workers: Optional[int] = None,
         storage: str = "memory",
         data_dir: Optional[str] = None,
         signer=None,
@@ -174,7 +173,6 @@ class TomScheme(AuthScheme):
             data_dir=data_dir,
             node_access_ms=node_access_ms,
             index_fill_factor=index_fill_factor,
-            max_workers=max_workers,
         )
         self._build_providers(
             TomServiceProvider,
@@ -249,7 +247,6 @@ class TomScheme(AuthScheme):
         cls,
         data_dir: str,
         pool_pages: Optional[int] = None,
-        max_workers: Optional[int] = None,
         state: Optional[dict] = None,
     ) -> "TomScheme":
         """Warm-restart a deployment from a :meth:`snapshot` directory.
@@ -263,7 +260,6 @@ class TomScheme(AuthScheme):
             data_dir,
             state,
             pool_pages,
-            max_workers,
             # The owner and client must keep the *snapshotted* key pair (the
             # restored ADS slices carry signatures made with it) -- and
             # injecting it skips an entire wasted RSA key generation.

@@ -28,9 +28,9 @@ PARITY_FIXTURE = os.path.join(
 BOUNDS = [(0, 400_000), (150_000, 900_000), (5_000_000, 5_600_000), (9_990_000, 10_000_000)]
 
 
-def deploy(tmp_path, storage, max_workers=None, scheme="sae", **design):
+def deploy(tmp_path, storage, scheme="sae", **design):
     dataset = build_dataset(3_000, record_size=96, seed=11)
-    kwargs = {"design": PhysicalDesign(pool_pages=4, **design), "max_workers": max_workers}
+    kwargs = {"design": PhysicalDesign(pool_pages=4, **design)}
     if storage == "paged":
         kwargs.update(storage="paged", data_dir=str(tmp_path))
     if scheme == "tom":
@@ -243,9 +243,9 @@ def receipt_fingerprint(tmp_path):
     for name, (storage, design) in shapes.items():
         root = tmp_path / name
         root.mkdir()
-        # One dispatch worker: legs sharing a buffer pool run in a fixed order,
-        # so the pool tallies repeat exactly.
-        with deploy(root, storage, max_workers=1, **design) as db:
+        # Legs run on the calling thread in shard order, so legs sharing a
+        # buffer pool run in a fixed order and the pool tallies repeat exactly.
+        with deploy(root, storage, **design) as db:
             outcomes = [db.query(low, high) for low, high in BOUNDS]
             outcomes += db.query_many(BOUNDS)
             assert all(outcome.verified for outcome in outcomes)

@@ -9,7 +9,6 @@ silently absorbed.
 """
 
 import threading
-import time
 
 import pytest
 
@@ -21,7 +20,7 @@ from repro.workloads.queries import RangeQueryWorkload
 
 SCHEME_KWARGS = {"sae": {}, "tom": {"key_bits": 512, "seed": 7}}
 
-#: Outcomes to wait for before pulling the primary (the drill must overlap
+#: Outcomes recorded before the primary is pulled (the drill must overlap
 #: real traffic on both sides of the kill).
 KILL_AFTER_OUTCOMES = 10
 
@@ -41,20 +40,26 @@ def test_kill_shard_primary_mid_load(small_dataset, scheme):
     collector = MetricsCollector()
     latency = collector.series("latency_ms[per-query]")
 
-    def kill_primary_mid_load():
-        deadline = time.monotonic() + 30.0
-        while latency.count(4) < KILL_AFTER_OUTCOMES and time.monotonic() < deadline:
-            time.sleep(0.001)
-        system.kill_replica(0, shard_id=0)
+    # The client thread that records the KILL_AFTER_OUTCOMES-th outcome
+    # pulls the primary itself, so the kill lands mid-load by construction
+    # instead of depending on when a polling thread gets scheduled.
+    record_lock = threading.Lock()
+    killed = threading.Event()
+    record = latency.record
 
-    killer = threading.Thread(target=kill_primary_mid_load)
+    def record_then_kill(x, value):
+        with record_lock:
+            record(x, value)
+            if latency.count(x) == KILL_AFTER_OUTCOMES:
+                system.kill_replica(0, shard_id=0)
+                killed.set()
+
+    latency.record = record_then_kill
     with system:
-        killer.start()
         report = run_load(
             system, bounds, num_clients=4, mode="per-query", collector=collector
         )
-        killer.join(timeout=30)
-        assert not killer.is_alive()
+        assert killed.is_set()
         system.revive_replica(0, shard_id=0)
 
     assert report.num_queries == len(bounds)

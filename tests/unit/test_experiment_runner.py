@@ -65,8 +65,8 @@ class TestMeasurePoint:
         assert point.sae_auth_bytes == 32
 
     def test_point_closes_both_deployments(self):
-        # Each deployment starts a dispatch pool on its first query; a point
-        # that left them open would strand those threads for the process.
+        # Queries run on the calling thread and close() releases every
+        # store, so a point must leave the process's thread count unchanged.
         before = threading.active_count()
         point = measure_point(ExperimentConfig.quick(), "uniform", 2_000, use_cache=False)
         assert point.all_verified

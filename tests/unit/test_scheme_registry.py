@@ -168,7 +168,7 @@ class TestReversedRangeParity:
 
 class TestClosedSchemeGuard:
     """Regression: ``close()`` then ``query()`` must raise, not silently
-    recreate the dispatch thread pool through ``_pool()``."""
+    serve from a deployment whose stores are closed."""
 
     @pytest.fixture(params=["sae", "tom"])
     def closed_system(self, request, small_dataset):
@@ -195,7 +195,6 @@ class TestClosedSchemeGuard:
     def test_close_does_not_revive_the_pool(self, closed_system):
         with pytest.raises(SchemeError):
             closed_system.query(0, 1_000_000)
-        assert closed_system._executor is None
 
     def test_close_is_idempotent(self, closed_system):
         closed_system.close()
