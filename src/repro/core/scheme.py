@@ -394,22 +394,24 @@ class AuthScheme(abc.ABC):
     def close(self) -> None:
         """Checkpoint (when snapshotable) and shut the deployment down.
 
-        When :meth:`snapshot` would succeed a final snapshot is taken
-        first, so updates applied since the last explicit one survive a
-        clean shutdown.  The deployment is then marked closed and the
-        standbys' and parties' stores and pagers closed (releasing their
-        file handles) under the exclusive lock -- even when that final
-        snapshot raised, whose error then propagates -- so a query waiting
-        for the lock is refused with :class:`SchemeError` instead of
-        reaching a closed store.  Idempotent and permanent.
+        Runs entirely under the exclusive lock.  When :meth:`snapshot`
+        would succeed a final snapshot is written first, so updates applied
+        since the last explicit one survive a clean shutdown.  The
+        deployment is then marked closed and the standbys' and parties'
+        stores and pagers closed (releasing their file handles) -- even
+        when that final snapshot raised, whose error then propagates.  A
+        query, update or snapshot waiting for the lock is refused with
+        :class:`SchemeError` instead of reaching a closed store, and a
+        second ``close()`` -- concurrent or later -- returns at once.
+        Idempotent and permanent.
         """
-        if self._closed:
-            return
-        try:
-            if self._snapshot_refusal() is None:
-                self.snapshot()
-        finally:
-            with self._state_lock.write_locked():
+        with self._state_lock.write_locked():
+            if self._closed:
+                return
+            try:
+                if self._snapshot_refusal() is None:
+                    self._write_snapshot()
+            finally:
                 self._closed = True
                 for standby in self._sp_replicas[1:]:
                     standby.close_storage()
@@ -456,25 +458,28 @@ class AuthScheme(abc.ABC):
             raise SchemeError(refusal)
         with self._state_lock.write_locked():
             self._ensure_open()
-            parties = self._parties()
-            for party in parties.values():
-                party.flush_storage()
-            state = {
-                "scheme": self.scheme_name,
-                "params": {
-                    "page_size": self._design.page_size,
-                    "node_access_ms": self._node_access_ms,
-                    "index_fill_factor": self._index_fill_factor,
-                    "shards": self._design.shards,
-                    "digest": self._scheme.name,
-                    "design": self._design.to_json_dict(),
-                },
-                "dataset": self._dataset,
-                "epoch": self.owner.epoch,
-                "provider": self.provider.snapshot_state(),
-            }
-            self._snapshot_extras(state)
-            return write_snapshot_state(self._storage.data_dir, state)
+            return self._write_snapshot()
+
+    def _write_snapshot(self) -> str:
+        """Flush every party and write the snapshot state (exclusive lock held)."""
+        for party in self._parties().values():
+            party.flush_storage()
+        state = {
+            "scheme": self.scheme_name,
+            "params": {
+                "page_size": self._design.page_size,
+                "node_access_ms": self._node_access_ms,
+                "index_fill_factor": self._index_fill_factor,
+                "shards": self._design.shards,
+                "digest": self._scheme.name,
+                "design": self._design.to_json_dict(),
+            },
+            "dataset": self._dataset,
+            "epoch": self.owner.epoch,
+            "provider": self.provider.snapshot_state(),
+        }
+        self._snapshot_extras(state)
+        return write_snapshot_state(self._storage.data_dir, state)
 
     def _snapshot_extras(self, state: dict) -> None:
         """Add the scheme's own entries to a snapshot state dict."""
@@ -820,11 +825,12 @@ class AuthScheme(abc.ABC):
     # ------------------------------------------------------------------ reporting
     def storage_report(self) -> dict:
         """Storage footprint of every party (bytes)."""
-        self._ensure_open()
-        report = {
-            f"{name}_bytes": party.storage_bytes()
-            for name, party in self._parties().items()
-        }
+        with self._state_lock.read_locked():
+            self._ensure_open()
+            report = {
+                f"{name}_bytes": party.storage_bytes()
+                for name, party in self._parties().items()
+            }
         report["dataset_bytes"] = self._dataset.size_bytes()
         return report
 

@@ -653,17 +653,14 @@ def _tuning_metrics() -> List[GateMetric]:
     Hard requirements (every query verified under both designs, merged
     receipts equal to their leg sums) raise here.  The gated axes are the
     replayed cost-model improvement of the recommended design over
-    ``PhysicalDesign.default_for`` and the live model-qps rematch.  Only
-    part of what feeds them is deterministic: the workload's queries are
-    seeded, and the tree shapes and the simulated buffer pools are pure
-    functions of the trace they replay.  The trace itself is not: it is
-    the load threads' outcomes concatenated in the order the threads ran,
-    and ``profile_workload`` mixes measured CPU time into the per-access
-    and per-record costs, so the recommended cuts -- and both gated values
-    -- can differ between two runs of one commit (ROADMAP item 1 makes
-    the leg deterministic).  The improvement is gated from below: if a
-    cost-model change stops the advisor finding a better-than-default
-    design on a skewed workload, the gate trips.
+    ``PhysicalDesign.default_for`` and the live model-qps rematch.  Both
+    are deterministic: the workload's queries are seeded, the trace lists
+    them in submission order whatever the client count, and the replay
+    scores counts alone (its CPU charges are fixed constants, not the
+    trace's measured CPU), so two runs of one commit return the same dict.  The
+    improvement is gated from below: if a cost-model change stops the
+    advisor finding a better-than-default design on a skewed workload,
+    the gate trips.
     """
     from repro.experiments.tuning import run_tuning_bench
 

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import queue
 import threading
 import time
 from dataclasses import dataclass, field
@@ -116,41 +115,45 @@ def _run_load_threads(
     verify: bool,
     latency: Any,
 ) -> Tuple[List[Any], float]:
-    """The in-process transport: one closed-loop thread per client."""
-    work: "queue.SimpleQueue" = queue.SimpleQueue()
-    for item in bounds:
-        work.put(item)
+    """The in-process transport: one closed-loop thread per client.
 
-    outcomes_per_client: List[List[Any]] = [[] for _ in range(num_clients)]
+    Each client takes the next contiguous slice of ``bounds`` under a lock,
+    so batch composition does not depend on thread scheduling, and every
+    outcome lands at its query's index: the result is in ``bounds`` order
+    whatever the client count.
+    """
+    work = list(bounds)
+    outcomes: List[Any] = [None] * len(work)
+    cursor = {"next": 0}
+    cursor_lock = threading.Lock()
     errors: List[BaseException] = []
 
-    def drain(limit: int) -> List[Tuple[Any, Any]]:
-        taken = []
-        while len(taken) < limit:
-            try:
-                taken.append(work.get_nowait())
-            except queue.Empty:
-                break
-        return taken
+    def drain(limit: int) -> Tuple[int, List[Tuple[Any, Any]]]:
+        with cursor_lock:
+            start = cursor["next"]
+            taken = work[start:start + limit]
+            cursor["next"] = start + len(taken)
+        return start, taken
 
-    def client_loop(slot: int) -> None:
-        sink = outcomes_per_client[slot]
+    def client_loop() -> None:
         try:
             while True:
                 if mode == "per-query":
-                    batch = drain(1)
+                    start, batch = drain(1)
                     if not batch:
                         return
                     started = time.perf_counter()
-                    sink.append(system.query(batch[0][0], batch[0][1], verify=verify))
+                    outcomes[start] = system.query(batch[0][0], batch[0][1], verify=verify)
                     elapsed_ms = (time.perf_counter() - started) * 1000.0
                     latency.record(num_clients, elapsed_ms)
                 else:
-                    batch = drain(batch_size)
+                    start, batch = drain(batch_size)
                     if not batch:
                         return
                     started = time.perf_counter()
-                    sink.extend(system.query_many(batch, verify=verify))
+                    outcomes[start:start + len(batch)] = system.query_many(
+                        batch, verify=verify
+                    )
                     elapsed_ms = (time.perf_counter() - started) * 1000.0
                     for _ in batch:
                         latency.record(num_clients, elapsed_ms)
@@ -158,7 +161,7 @@ def _run_load_threads(
             errors.append(exc)
 
     threads = [
-        threading.Thread(target=client_loop, args=(slot,), name=f"load-client-{slot}")
+        threading.Thread(target=client_loop, name=f"load-client-{slot}")
         for slot in range(num_clients)
     ]
     started = time.perf_counter()
@@ -169,7 +172,7 @@ def _run_load_threads(
     duration_s = time.perf_counter() - started
     if errors:
         raise errors[0]
-    return [outcome for sink in outcomes_per_client for outcome in sink], duration_s
+    return outcomes, duration_s
 
 
 async def drive_closed_loop(
@@ -186,42 +189,43 @@ async def drive_closed_loop(
     ``client`` is any async query client (a pooled
     :class:`~repro.network.client.RemoteSchemeClient`, a fleet router);
     ``record(ms)`` receives every served query's latency.  Outcomes come
-    back in per-client concatenation order (client 0's first), the order a
+    back in ``bounds`` order whatever the client count, the order a
     recorded trace keeps.
     """
     work: List[Tuple[Any, Any]] = list(bounds)
     cursor = {"next": 0}
 
-    def drain(limit: int) -> List[Tuple[Any, Any]]:
+    def drain(limit: int) -> Tuple[int, List[Tuple[Any, Any]]]:
         start = cursor["next"]
         taken = work[start:start + limit]
         cursor["next"] = start + len(taken)
-        return taken
+        return start, taken
 
-    outcomes_per_client: List[List[Any]] = [[] for _ in range(num_clients)]
+    outcomes: List[Any] = [None] * len(work)
 
-    async def client_loop(slot: int) -> None:
-        sink = outcomes_per_client[slot]
+    async def client_loop() -> None:
         while True:
             if mode == "per-query":
-                batch = drain(1)
+                start, batch = drain(1)
                 if not batch:
                     return
                 started = time.perf_counter()
-                sink.append(await client.query(batch[0][0], batch[0][1], verify=verify))
+                outcomes[start] = await client.query(batch[0][0], batch[0][1], verify=verify)
                 record((time.perf_counter() - started) * 1000.0)
             else:
-                batch = drain(batch_size)
+                start, batch = drain(batch_size)
                 if not batch:
                     return
                 started = time.perf_counter()
-                sink.extend(await client.query_many(batch, verify=verify))
+                outcomes[start:start + len(batch)] = await client.query_many(
+                    batch, verify=verify
+                )
                 elapsed_ms = (time.perf_counter() - started) * 1000.0
                 for _ in batch:
                     record(elapsed_ms)
 
     started = time.perf_counter()
-    tasks = [asyncio.ensure_future(client_loop(slot)) for slot in range(num_clients)]
+    tasks = [asyncio.ensure_future(client_loop()) for _ in range(num_clients)]
     try:
         await asyncio.gather(*tasks)
     except BaseException:
@@ -233,7 +237,7 @@ async def drive_closed_loop(
         await asyncio.gather(*tasks, return_exceptions=True)
         raise
     duration_s = time.perf_counter() - started
-    return [outcome for sink in outcomes_per_client for outcome in sink], duration_s
+    return outcomes, duration_s
 
 
 async def _drive_tcp(
@@ -275,9 +279,10 @@ def run_load(
 ) -> LoadReport:
     """Replay ``bounds`` from ``num_clients`` concurrent closed-loop clients.
 
-    Every client repeatedly takes work from a shared queue until the
-    workload is drained: one query at a time in ``per-query`` mode, up to
-    ``batch_size`` queries at a time in ``batched`` mode.  Per-query latency
+    Every client repeatedly takes the next slice of the workload until it
+    is drained: one query at a time in ``per-query`` mode, up to
+    ``batch_size`` queries at a time in ``batched`` mode.  ``outcomes`` are
+    in ``bounds`` order whatever the client count.  Per-query latency
     is the wall-clock time of the call that served it (so in batched mode
     every query in a batch observes the batch's latency, which is what a
     client waiting on the batch would see).

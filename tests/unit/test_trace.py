@@ -1,11 +1,13 @@
 """Unit tests for the receipt-trace recorder and loader."""
 
 import json
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
 from repro.core import OutsourcedDB
+from repro.core.design import PhysicalDesign
 from repro.experiments.throughput import run_load
 from repro.workloads import build_dataset
 from repro.workloads.trace import (
@@ -118,3 +120,29 @@ class TestLiveCapture:
         assert [e.to_json_dict() for e in loaded] == [
             e.to_json_dict() for e in entries
         ]
+
+    def test_trace_does_not_depend_on_the_client_count(self):
+        # The tuning replay feeds its simulated pools in trace order, so a
+        # trace must list the queries in submission order, batched the same
+        # way, however many clients served them.  Only measured CPU may
+        # differ.
+        dataset = build_dataset(
+            1_200, distribution="uniform", domain=(0, 1_000_000), seed=5
+        )
+        bounds = [(low, low + 60_000) for low in range(0, 900_000, 23_000)]
+        traces = []
+        for clients in (1, 4):
+            system = OutsourcedDB(
+                dataset, scheme="sae", design=PhysicalDesign(shards=2)
+            ).setup()
+            with system:
+                report = run_load(
+                    system, bounds, num_clients=clients, mode="batched",
+                    batch_size=7,
+                )
+            traces.append([
+                replace(entry, sp_cpu_ms=0.0, te_cpu_ms=0.0, client_cpu_ms=0.0)
+                for entry in entries_from_outcomes(report.outcomes)
+            ])
+        assert [(entry.low, entry.high) for entry in traces[0]] == bounds
+        assert traces[0] == traces[1]
